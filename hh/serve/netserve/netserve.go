@@ -301,7 +301,6 @@ type conn struct {
 	closeReq     chan struct{} // closed by closeWhenFlushed
 	closeReqOnce sync.Once
 	closeOnce    sync.Once
-	flushedClose atomic.Bool
 }
 
 func (c *conn) close() {
@@ -328,14 +327,15 @@ func (c *conn) readLoop() {
 			var pe *protoError
 			if errors.As(err, &pe) {
 				// Malformed or oversized frame: report on the wire, then
-				// close. The queued error reply flushes before the close.
+				// close. Returning closes c.pending behind the queued error
+				// reply, and the write loop closes the socket only after it
+				// has written and flushed everything queued before that.
 				c.f.protoErrors.Add(1)
 				c.f.cfg.Logf("netserve: %s: %v", c.nc.RemoteAddr(), pe)
 				msg := pe.Error()
 				c.enqueue(pendingReply{render: func(bw *bufio.Writer) {
 					writeError(bw, "ERR", msg)
 				}})
-				c.flushedClose.Store(true)
 			}
 			return
 		}
@@ -368,8 +368,11 @@ func (c *conn) dispatch(args [][]byte) bool {
 		text := c.f.metricsText()
 		c.enqueue(pendingReply{render: func(bw *bufio.Writer) { writeBulk(bw, text) }})
 	case "QUIT", "quit":
+		// Ending the read loop closes c.pending behind this reply; the
+		// write loop flushes it and then closes the socket. No flag tells
+		// the writer to close: one it could see before it had taken the
+		// reply off the queue would let it close with +OK still queued.
 		c.enqueue(pendingReply{render: func(bw *bufio.Writer) { writeSimple(bw, "OK") }})
-		c.flushedClose.Store(true)
 		return false
 	default:
 		c.enqueue(errReply("ERR", "unknown command "+strconv.Quote(cmd)))
@@ -487,7 +490,8 @@ func (c *conn) writeLoop() {
 	defer c.f.connWG.Done()
 	defer c.f.dropConn(c)
 	defer c.close()
-	dead := false // peer unreachable: drain tickets, write nothing
+	dead := false     // peer unreachable: drain tickets, write nothing
+	draining := false // drain requested: close at the next fully-flushed point
 	closeCh := c.closeReq
 	for {
 		var p pendingReply
@@ -496,7 +500,7 @@ func (c *conn) writeLoop() {
 		case p, ok = <-c.pending:
 		case <-closeCh:
 			closeCh = nil
-			c.flushedClose.Store(true)
+			draining = true
 			if len(c.pending) == 0 {
 				// Idle connection: everything already flushed; close now so
 				// the blocked read loop exits.
@@ -527,7 +531,7 @@ func (c *conn) writeLoop() {
 				c.close()
 				continue
 			}
-			if c.flushedClose.Load() {
+			if draining {
 				c.close() // flushed and draining: end the read loop
 			}
 		}

@@ -100,6 +100,48 @@ func TestRoundTripAllModes(t *testing.T) {
 	}
 }
 
+// TestQuitReplyNeverLost runs RUN then QUIT on a fresh connection, 500
+// times, and QUIT's +OK must arrive every time. Odd rounds pipeline the two
+// frames; even rounds send QUIT the moment the RUN reply is in, which is when
+// the write loop sits between flushing that reply and deciding whether to
+// close. It once decided from a flag the read loop set after queueing +OK, so
+// it could see the flag with +OK still queued, and the client read EOF.
+func TestQuitReplyNeverLost(t *testing.T) {
+	r, srv, f := startFrontend(t, hh.ParMem, Config{},
+		serve.WithMaxInFlight(8), serve.WithQueueDepth(16))
+	defer r.Close()
+	defer f.Close()
+	for i := 0; i < 500; i++ {
+		c, err := Dial(f.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Send("RUN", "kv", fmt.Sprint(i), "8")
+		if i%2 == 1 {
+			c.Send("QUIT")
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := c.Recv(); err != nil {
+			t.Fatalf("round %d: RUN reply: %v", i, err)
+		} else if _, err := rep.Checksum(); err != nil {
+			t.Fatalf("round %d: RUN reply %+v: %v", i, rep, err)
+		}
+		if i%2 == 0 {
+			c.Send("QUIT")
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rep, err := c.Recv(); err != nil || rep.Str != "OK" {
+			t.Fatalf("round %d: QUIT reply %+v, %v", i, rep, err)
+		}
+		c.Close()
+	}
+	srv.Drain()
+}
+
 // TestConnDropMidRequestReclaims drops the client mid-request: the
 // session must still run to completion server-side and be reclaimed
 // wholesale — chunk occupancy returns to the pre-traffic baseline.

@@ -1,0 +1,186 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/heap"
+	"repro/internal/mem"
+	"repro/internal/trace"
+)
+
+// chain builds a root path of levels+1 heaps and returns it top first.
+func chain(levels int) []*heap.Heap {
+	path := []*heap.Heap{heap.NewRoot()}
+	for i := 0; i < levels; i++ {
+		path = append(path, heap.NewChild(path[i]))
+	}
+	return path
+}
+
+// TestPromotingWriteToStaleMaster replays, step by step, the window the
+// lock-free entry to a climb leaves open: the writer walks obj's forwarding
+// chain, finds obj itself, and before it locks anything another task
+// promotes obj higher. The climb must notice once it holds obj's old heap,
+// extend its path to the new master's heap, and store there.
+func TestPromotingWriteToStaleMaster(t *testing.T) {
+	root, child, grand := hierarchy()
+	defer freeAll(root, child, grand)
+	var ops Counters
+	cell := Alloc(nil, root, &ops, 1, 0, mem.TagRef)
+	obj := Alloc(nil, child, &ops, 1, 0, mem.TagRef)
+	val := Alloc(nil, grand, &ops, 0, 1, mem.TagRef)
+	WriteInitWord(&ops, val, 0, 77)
+
+	stale := chaseFwd(obj)                        // the writer's unlocked walk
+	WritePtr(nil, grand, nil, &ops, cell, 0, obj) // the other task promotes obj to root
+	if !mem.HasFwd(stale) {
+		t.Fatal("setup: obj was not promoted")
+	}
+	before := ops.ClimbLockedHeaps
+	writePromote(nil, nil, &ops, stale, 0, val)
+
+	master := chaseFwd(obj)
+	if heap.Of(master) != root || ReadMutPtr(&ops, cell, 0) != master {
+		t.Fatalf("master %v is not the root copy the cell holds", master)
+	}
+	got := mem.LoadPtrFieldAtomic(master, 0)
+	if got.IsNil() || heap.Of(got) != root || mem.LoadWordField(got, 0) != 77 {
+		t.Fatalf("store did not reach the master as a root-level copy: %v", got)
+	}
+	if locked := ops.ClimbLockedHeaps - before; locked != 3 {
+		t.Fatalf("climb locked %d heaps, want the extended path grand, child, root", locked)
+	}
+	if err := CheckSubtree(root, child, grand); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRacingPromotionOfWriteTarget runs the same window for real: two tasks
+// each write a fresh local object into their own field of obj while a third
+// promotes obj itself from the middle of the hierarchy to the root. However
+// the three interleave, both stores must be found on the final master.
+func TestRacingPromotionOfWriteTarget(t *testing.T) {
+	root := heap.NewRoot()
+	child := heap.NewChild(root)
+	leaves := []*heap.Heap{heap.NewChild(child), heap.NewChild(child), heap.NewChild(child)}
+	defer freeAll(append([]*heap.Heap{root, child}, leaves...)...)
+	var setup Counters
+	cell := Alloc(nil, root, &setup, 1, 0, mem.TagRef)
+
+	for round := 0; round < 400; round++ {
+		obj := Alloc(nil, child, &setup, 2, 0, mem.TagTuple)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var ops Counters
+				val := Alloc(nil, leaves[w], &ops, 0, 1, mem.TagRef)
+				WriteInitWord(&ops, val, 0, uint64(round*2+w))
+				<-start
+				WritePtr(nil, leaves[w], nil, &ops, obj, w, val)
+			}(w)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ops Counters
+			<-start
+			WritePtr(nil, leaves[2], nil, &ops, cell, 0, obj)
+		}()
+		close(start)
+		wg.Wait()
+
+		master := chaseFwd(obj)
+		if heap.Of(master) != root {
+			t.Fatalf("round %d: master still at depth %d", round, heap.Of(master).Depth())
+		}
+		for w := 0; w < 2; w++ {
+			got := mem.LoadPtrFieldAtomic(master, w)
+			if got.IsNil() || heap.Of(got) != root || mem.LoadWordField(got, 0) != uint64(round*2+w) {
+				t.Fatalf("round %d: writer %d's store is not on the master: %v", round, w, got)
+			}
+		}
+	}
+	if err := CheckSubtree(append([]*heap.Heap{root, child}, leaves...)...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// climbs performs n identical promoting writes — a fresh one-word object
+// from the bottom of path into a cell at its top — through one PromoteBuf,
+// and returns the counters.
+func climbs(path []*heap.Heap, n int) Counters {
+	var ops Counters
+	var buf PromoteBuf
+	top, leaf := path[0], path[len(path)-1]
+	cell := Alloc(nil, top, &ops, 1, 0, mem.TagRef)
+	for i := 0; i < n; i++ {
+		fresh := Alloc(nil, leaf, &ops, 0, 1, mem.TagRef)
+		WritePtr(nil, leaf, &buf, &ops, cell, 0, fresh)
+	}
+	return ops
+}
+
+// TestSampledPromoteNanos holds the untraced estimate of climb time (one
+// climb in climbSample timed, charged climbSample times) against the exact
+// figure the traced path keeps, over the same climbs.
+func TestSampledPromoteNanos(t *testing.T) {
+	const n = 20000
+	run := func(traced bool) Counters {
+		path := chain(4)
+		defer freeAll(path...)
+		if traced {
+			if !trace.Start(1, 1<<10) {
+				t.Fatal("recorder already running")
+			}
+			defer trace.Stop()
+		}
+		return climbs(path, n)
+	}
+	run(false) // warm the chunk pool so neither measured run pays for it
+	sampled, exact := run(false), run(true)
+	if sampled.PromoteClimbs != n || exact.PromoteClimbs != n {
+		t.Fatalf("climbs: sampled %d, exact %d, want %d", sampled.PromoteClimbs, exact.PromoteClimbs, n)
+	}
+	ratio := float64(sampled.PromoteNanos) / float64(exact.PromoteNanos)
+	t.Logf("PromoteNanos over %d climbs: sampled %d, exact %d (ratio %.2f)", n, sampled.PromoteNanos, exact.PromoteNanos, ratio)
+	if ratio < 0.5 || ratio > 2 {
+		t.Fatalf("sampled estimate %d is not within 2x of exact %d", sampled.PromoteNanos, exact.PromoteNanos)
+	}
+
+	// One full window is enough for a non-zero estimate; serve's latency
+	// attribution relies on it for short requests.
+	path := chain(1)
+	defer freeAll(path...)
+	if ops := climbs(path, climbSample); ops.PromoteNanos <= 0 {
+		t.Fatalf("PromoteNanos = %d after %d climbs", ops.PromoteNanos, climbSample)
+	}
+}
+
+// BenchmarkClimb measures one promoting write — allocate a one-word object
+// at the bottom of a root path, write it into a cell depth levels up — so
+// depth+1 heaps are locked, one object is copied, and the locks released.
+func BenchmarkClimb(b *testing.B) {
+	for _, depth := range []int{1, 5, 16} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			const batch = 1 << 14 // climbs between chunk releases, untimed
+			for done := 0; done < b.N; done += batch {
+				b.StopTimer()
+				path := chain(depth)
+				n := b.N - done
+				if n > batch {
+					n = batch
+				}
+				b.StartTimer()
+				climbs(path, n)
+				b.StopTimer()
+				freeAll(path...)
+				b.StartTimer()
+			}
+		})
+	}
+}

@@ -33,7 +33,7 @@ type Counters struct {
 	PromotedWords     int64 // words copied upward
 	PromoteClimbs     int64 // promotion lock climbs (≤ Promotions when batching)
 	ClimbLockedHeaps  int64 // heaps write-locked across all climbs
-	PromoteNanos      int64 // wall time inside promotion climbs (lock + copy + store)
+	PromoteNanos      int64 // wall time inside promotion climbs (lock + copy + store); a 1-in-climbSample estimate unless tracing
 	FindMasterRetries int64 // double-checked locking retries
 
 	// Deferred-promotion outcomes (WritePtrDeferred and the drains). A pin

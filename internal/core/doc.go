@@ -31,7 +31,10 @@
 //   - The promotion climb. A pointer write whose pointee is deeper than
 //     the object's master write-locks the heap path from the pointee's
 //     heap up to the master's, deepest first, and copies the pointee's
-//     reachable graph upward (writePromote). WritePtrBatch amortizes the
+//     reachable graph upward (writePromote). It takes no read lock first:
+//     an unlocked walk of the forwarding chain is enough to know the write
+//     must promote, and the climb settles which copy is the master once it
+//     holds the locks (WritePtrSlow). WritePtrBatch amortizes the
 //     climb across a batch of writes staged in the task's PromoteBuf: one
 //     climb promotes every staged pointee, and pointees flushed together
 //     share one copy pass.
@@ -51,5 +54,8 @@
 //
 // All operations count themselves into per-task Counters so the evaluation
 // can report the Figure 8/9 operation taxonomy, the barrier fast/slow mix,
-// and the lock-climb amortization (hhbench -table promote).
+// and the lock-climb amortization (hhbench -table promote). The counts are
+// exact; the one time among them, PromoteNanos, is sampled — one climb in
+// climbSample is timed and charged that many times over — unless the flight
+// recorder is on, when every climb is timed.
 package core

@@ -165,6 +165,7 @@ func TestAncestorFastPathNeverLosesToPromotion(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		root := heap.NewRoot()
 		child := heap.NewChild(root)
+		writerHeap := heap.NewChild(child)
 		var setup Counters
 		cell := Alloc(nil, root, &setup, 1, 0, mem.TagRef)
 		obj := Alloc(nil, child, &setup, 1, 0, mem.TagRef)
@@ -181,8 +182,12 @@ func TestAncestorFastPathNeverLosesToPromotion(t *testing.T) {
 			defer wg.Done()
 			var ops Counters
 			// val is at the root: depth(obj's heap) >= depth(val's heap),
-			// the ancestor fast path.
-			WritePtr(nil, child, nil, &ops, obj, 0, val)
+			// the ancestor fast path. The writer runs one level below obj's
+			// heap; from child itself this would be the LOCAL fast path,
+			// which rightly assumes nobody promotes out of the writer's own
+			// leaf and does not re-check (the test used to do that, and
+			// lost the update about once in 500 runs).
+			WritePtr(nil, writerHeap, nil, &ops, obj, 0, val)
 		}()
 		wg.Wait()
 

@@ -169,8 +169,9 @@ func WriteInitPtr(ops *Counters, p mem.ObjPtr, i int, q mem.ObjPtr) {
 //     phase observes our store, or we observe its forwarding pointer and
 //     redo the write through the master lookup below.
 //
-// Neither fast path touches a heap lock; FindMaster's read-lock climb is
-// reserved for forwarded objects and for writes that must promote. buf is
+// Neither fast path touches a heap lock; FindMaster's read lock is reserved
+// for forwarded objects, and a write that must promote goes straight to its
+// climb's write locks (WritePtrSlow). buf is
 // the task's promote buffer (scratch for the climb; nil for a transient
 // one) and cc the calling worker's chunk cache, supplying the target
 // heap's chunks during promotion (nil for none).
@@ -194,22 +195,33 @@ func WritePtr(cc *mem.ChunkCache, cur *heap.Heap, buf *PromoteBuf, ops *Counters
 	WritePtrSlow(cc, buf, ops, obj, field, ptr)
 }
 
-// WritePtrSlow is WritePtr without the fast paths: every write goes
-// through the master-copy lookup under the heap read lock, the
-// paper-faithful baseline. It exists as an ablation knob (the paper's
-// implementation "prioritizes the efficiency of updates to local objects";
-// this measures what that priority — and the ancestor fast path on top of
-// it — buys) and as the write path for contexts with no current-heap
-// notion.
+// WritePtrSlow is WritePtr without the fast paths: the paper-faithful
+// baseline. It exists as an ablation knob (the paper's implementation
+// "prioritizes the efficiency of updates to local objects"; this measures
+// what that priority — and the ancestor fast path on top of it — buys) and
+// as the write path for contexts with no current-heap notion.
+//
+// A write that must promote takes no read lock first. Promotion only ever
+// moves an object shallower, so if the end of obj's forwarding chain as
+// walked without a lock is already shallower than the pointee, the true
+// master is too, and the climb's own lockPath — which re-checks the
+// forwarding word once the target is locked, and extends the path — finds
+// it. Every other write goes through the master-copy lookup under the heap
+// read lock, where the depth test is repeated: the unlocked walk can
+// mistake a promoting write for a plain one, never the reverse.
 func WritePtrSlow(cc *mem.ChunkCache, buf *PromoteBuf, ops *Counters, obj mem.ObjPtr, field int, ptr mem.ObjPtr) {
-	m, h := FindMaster(ops, obj)
-	if ptr.IsNil() || h.Depth() >= heap.Of(ptr).Depth() {
-		ops.WritePtrNonProm++
-		mem.StorePtrFieldAtomic(m, field, ptr)
+	m := chaseFwd(obj)
+	if ptr.IsNil() || heap.Of(m).Depth() >= heap.Of(ptr).Depth() {
+		var h *heap.Heap
+		m, h = FindMaster(ops, m)
+		if ptr.IsNil() || h.Depth() >= heap.Of(ptr).Depth() {
+			ops.WritePtrNonProm++
+			mem.StorePtrFieldAtomic(m, field, ptr)
+			h.Unlock()
+			return
+		}
 		h.Unlock()
-		return
 	}
-	h.Unlock()
 	ops.WritePtrProm++
 	ops.Promotions++
 	writePromote(cc, buf, ops, m, field, ptr)
@@ -236,10 +248,20 @@ func WritePtrBatch(cc *mem.ChunkCache, cur *heap.Heap, buf *PromoteBuf, ops *Cou
 	if buf == nil {
 		buf = &PromoteBuf{}
 	}
-	m, h := FindMaster(ops, obj)
-	d := h.Depth()
+	// Stage against the master found by an unlocked walk (see WritePtrSlow:
+	// it can only err towards "does not promote"). The read lock is taken at
+	// the first write that looks plain, and that write is then re-tested
+	// against the locked master; a batch that promotes throughout, the usual
+	// publish of fresh objects, never takes it.
+	m := chaseFwd(obj)
+	d := heap.Of(m).Depth()
+	var h *heap.Heap
 	buf.resetStage()
 	for j, q := range ptrs {
+		if h == nil && (q.IsNil() || d >= heap.Of(q).Depth()) {
+			m, h = FindMaster(ops, m)
+			d = h.Depth()
+		}
 		if q.IsNil() || d >= heap.Of(q).Depth() {
 			ops.WritePtrNonProm++
 			mem.StorePtrFieldAtomic(m, field0+j, q)
@@ -247,7 +269,9 @@ func WritePtrBatch(cc *mem.ChunkCache, cur *heap.Heap, buf *PromoteBuf, ops *Cou
 		}
 		buf.stage(field0+j, q)
 	}
-	h.Unlock()
+	if h != nil {
+		h.Unlock()
+	}
 	staged := len(buf.stagedFields)
 	if staged == 0 {
 		return

@@ -29,6 +29,14 @@ const (
 	climbCoalesce  = 64
 )
 
+// climbSample is how many climbs share one timed climb when the flight
+// recorder is off. Reading the clock twice costs about as much as the locks
+// of a short climb, so Counters.PromoteNanos is an estimate: one climb in
+// every window of climbSample is timed, at a position drawn afresh per
+// window (a fixed stride could fall in step with a loop that alternates
+// cheap and dear climbs), and charged climbSample times over.
+const climbSample = 16
+
 // PromoteBuf is a task-private promotion scratch buffer. It serves two
 // jobs on the promoting write path:
 //
@@ -50,6 +58,11 @@ type PromoteBuf struct {
 
 	locked []*heap.Heap // climb scratch: the write-locked heap path
 	scan   []mem.ObjPtr // promotion worklist: fresh copies to field-fix
+
+	// Climb-time sampling (see climbSample): position in the current window,
+	// the position timed in it, and the generator that draws the next one.
+	climbPos, climbPick uint8
+	climbRand           uint32
 
 	// Sub-floor climb coalescing state (see climbSpanFloor / emitClimb).
 	// Task-private like the rest of the buffer, so no atomics.
@@ -147,7 +160,7 @@ func (b *PromoteBuf) lockPath(ops *Counters, src *heap.Heap, obj mem.ObjPtr) (me
 
 // emitClimb records one finished climb with the flight recorder. Climbs are
 // the hottest emit site, so two costs are shaved: the timing reuses the
-// start/elapsed the caller already measured for PromoteNanos (no extra clock
+// start/elapsed endClimb already measured for PromoteNanos (no extra clock
 // reads), and climbs shorter than climbSpanFloor are coalesced into one
 // summary instant per climbCoalesce climbs instead of publishing each.
 func (b *PromoteBuf) emitClimb(start time.Time, elapsed time.Duration, batch, depth int) {
@@ -194,6 +207,45 @@ func (b *PromoteBuf) unlockPath() {
 	b.locked = b.locked[:0]
 }
 
+// climbClock times one promotion climb. It is the only place the barrier
+// reads the clock: every climb while the flight recorder is on (a span needs
+// its own start and length, which keeps traces and the numbers taken from
+// them exact), one in climbSample otherwise.
+type climbClock struct {
+	start  time.Time
+	weight int64 // climbs this one stands for; 0 = not timed
+	traced bool
+}
+
+func (b *PromoteBuf) startClimb() climbClock {
+	if trace.Enabled() {
+		return climbClock{start: time.Now(), weight: 1, traced: true}
+	}
+	if b.climbPos == 0 {
+		b.climbRand = b.climbRand*1664525 + 1013904223
+		b.climbPick = uint8((b.climbRand >> 24) % climbSample)
+	}
+	timed := b.climbPos == b.climbPick
+	b.climbPos = (b.climbPos + 1) % climbSample
+	if !timed {
+		return climbClock{}
+	}
+	return climbClock{start: time.Now(), weight: climbSample}
+}
+
+// endClimb charges a finished climb of batch objects over depth locked
+// heaps to ops.PromoteNanos and, when traced, to the flight recorder.
+func (b *PromoteBuf) endClimb(ops *Counters, c climbClock, batch, depth int) {
+	if c.weight == 0 {
+		return
+	}
+	elapsed := time.Since(c.start)
+	ops.PromoteNanos += elapsed.Nanoseconds() * c.weight
+	if c.traced {
+		b.emitClimb(c.start, elapsed, batch, depth)
+	}
+}
+
 // writePromote implements the promoting pointer write (Figure 7,
 // writePromote). Three phases:
 //
@@ -203,33 +255,20 @@ func (b *PromoteBuf) unlockPath() {
 //     promoted pointer into the field.
 //  3. Unlock the path, shallowest first.
 //
-// buf supplies the reusable climb and worklist scratch (nil for a
-// transient buffer); the caller has already counted the write in
-// WritePtrProm/Promotions.
+// obj need not be the master copy, nor even unforwarded: the caller walked
+// its forwarding chain without a lock, and lockPath settles the master once
+// the path is held. buf supplies the reusable climb and worklist scratch
+// (nil for a transient buffer); the caller has already counted the write
+// in WritePtrProm/Promotions.
 func writePromote(cc *mem.ChunkCache, buf *PromoteBuf, ops *Counters, obj mem.ObjPtr, field int, ptr mem.ObjPtr) {
 	if buf == nil {
 		buf = &PromoteBuf{}
 	}
-	src := heap.Of(ptr)
-	target := heap.Of(obj)
-	if target.Depth() >= src.Depth() {
-		panic(fmt.Sprintf("core: writePromote precondition violated: target depth %d >= source depth %d",
-			target.Depth(), src.Depth()))
-	}
-	start := time.Now()
-	obj, target = buf.lockPath(ops, src, obj)
-	promoted := promote(cc, buf, ops, target, ptr)
-	mem.StorePtrFieldAtomic(obj, field, promoted)
-	depth := len(buf.locked)
-	buf.unlockPath()
-	elapsed := time.Since(start)
-	ops.PromoteNanos += elapsed.Nanoseconds()
-	if trace.Enabled() {
-		buf.emitClimb(start, elapsed, 1, depth)
-	}
+	fields, ptrs := [1]int{field}, [1]mem.ObjPtr{ptr}
+	writePromoteBatch(cc, buf, ops, obj, fields[:], ptrs[:])
 }
 
-// writePromoteBatch is writePromote amortized over a staged batch: fields
+// writePromoteBatch is the promoting write over a staged batch: fields
 // and ptrs are parallel slices of promoting writes to obj (all pointees
 // strictly deeper than obj's master at staging time). ONE lock climb —
 // from the deepest staged pointee's heap up to the master — covers every
@@ -247,21 +286,17 @@ func writePromoteBatch(cc *mem.ChunkCache, buf *PromoteBuf, ops *Counters, obj m
 	}
 	target := heap.Of(obj)
 	if target.Depth() >= src.Depth() {
-		panic(fmt.Sprintf("core: writePromoteBatch precondition violated: target depth %d >= source depth %d",
+		panic(fmt.Sprintf("core: writePromote precondition violated: target depth %d >= source depth %d",
 			target.Depth(), src.Depth()))
 	}
-	start := time.Now()
+	clock := buf.startClimb()
 	obj, target = buf.lockPath(ops, src, obj)
 	for i, q := range ptrs {
 		mem.StorePtrFieldAtomic(obj, fields[i], promote(cc, buf, ops, target, q))
 	}
 	depth := len(buf.locked)
 	buf.unlockPath()
-	elapsed := time.Since(start)
-	ops.PromoteNanos += elapsed.Nanoseconds()
-	if trace.Enabled() {
-		buf.emitClimb(start, elapsed, len(ptrs), depth)
-	}
+	buf.endClimb(ops, clock, len(ptrs), depth)
 }
 
 // promote copies the object graph reachable from p into target (or reuses

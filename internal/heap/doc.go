@@ -13,6 +13,14 @@
 //
 // Every heap carries a readers-writer lock (paper Figure 4): findMaster
 // acquires it in read mode, promotion and zone collection in write mode.
+// The lock is one atomic word — reader count, writer bit, waiting-writer
+// count, sleeper count — so taking and releasing an uncontended lock is a
+// compare-and-swap and an atomic add; a blocked acquirer re-reads the word a
+// few dozen times and then parks on a mutex-and-condition pair that exists
+// only once somebody has slept (RWLock). Heap keeps the word on a cache line
+// of its own, away from the depth and parent fields every barrier reads and
+// from the bump-allocator fields every allocation writes.
+//
 // One global lock order keeps the three composable — every multi-heap
 // acquisition climbs the hierarchy bottom-up (deepest heap first, heap ID
 // breaking ties between siblings). The zone helpers encode that order:

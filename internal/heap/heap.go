@@ -18,11 +18,20 @@ import (
 // synchronization (deque publish on fork/steal, join signal on completion)
 // provides the happens-before edges between those phases.
 type Heap struct {
-	id     uint64
-	lk     RWLock
-	depth  int32
-	parent *Heap                // hierarchy parent at creation; resolve when walking
-	merged atomic.Pointer[Heap] // union-find link set by Join
+	// Three cache lines of 64 bytes, which is also how the Go allocator
+	// aligns a 192-byte object (TestHeapLayout checks both), so that no two
+	// of these share a line, in this heap or with a neighbouring one:
+	//
+	//	line 0  the lock word, which climbing and waiting goroutines write
+	//	        and spin on, and the cold fields;
+	//	line 1  the identity fields every barrier reads through Depth, and
+	//	        the chunk-list fields written once per chunk;
+	//	line 2  the bump-allocator fields FreshObjVia writes per object.
+	//
+	// Waiters polling a lock word on an allocator line slow down the very
+	// copy they are waiting for.
+	lk RWLock
+	id uint64
 
 	// Child registry for super-root heaps (superroot.go): session subtrees
 	// attach here so shutdown can find abandoned ones. Lazily installed on
@@ -34,18 +43,23 @@ type Heap struct {
 	// promoted. Lazily installed; nil for every heap that never pinned.
 	rem atomic.Pointer[remSet]
 
+	LiveWords int64 // GC policy input: live estimate from the last collection
+
+	depth  int32
+	isTo   bool                 // true while this heap is a collection to-space
+	parent *Heap                // hierarchy parent at creation; resolve when walking
+	merged atomic.Pointer[Heap] // union-find link set by Join
+
 	head      *mem.Chunk // oldest chunk
-	tail      *mem.Chunk // newest chunk; allocation target
 	nChunks   int
-	nextWords int // next chunk size (geometric growth)
-
-	usedWords int64 // words handed out to objects
+	nextWords int   // next chunk size (geometric growth)
 	capWords  int64 // total chunk capacity
-	isTo      bool  // true while this heap is a collection to-space
+	_         uint64
 
-	// GC policy inputs, maintained by the allocator and the collector.
-	AllocSinceGC int64 // words allocated since the last collection
-	LiveWords    int64 // live estimate from the last collection
+	tail         *mem.Chunk // newest chunk; allocation target
+	usedWords    int64      // words handed out to objects
+	AllocSinceGC int64      // GC policy input: words allocated since the last collection
+	_            [5]uint64
 }
 
 var heapIDs atomic.Uint64

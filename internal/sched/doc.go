@@ -21,6 +21,18 @@
 // frames and stealing — including from the collecting worker's deque,
 // whose published frames stay stealable throughout the collection.
 //
+// # Idle workers
+//
+// A worker that finds no frame keeps looking, yielding the processor
+// between looks, for pollWindow of wall-clock time since it last had one;
+// then takes a few sleeps of the shortest length the timer gives; then
+// sleeps a tenth of a millisecond at a time (idleLadder, shared by the main
+// loop and WaitHelp). The first rung is measured in time, not rounds,
+// because it is what decides whether a request arriving at a steady rate
+// finds a polling worker or a sleeping one, and how long a round takes
+// depends on how cheap the rest of the runtime is. Workers never park on a
+// channel: on a virtual processor a halted thread wakes slowly.
+//
 // # Worker chunk caches
 //
 // Each Worker optionally owns a private mem.ChunkCache (WithChunkCaches),
@@ -31,7 +43,7 @@
 // runtime threads the cache of the worker a task is CURRENTLY running on
 // through allocation, collection, and release paths — a frame that is
 // stolen simply starts trading chunks with its thief's cache instead. A
-// worker that stays idle past a threshold flushes its cache back to the
-// shared pool, so a drained server's chunks migrate to whichever workers
+// worker that reaches coldTrimSleeps sleeps in a row flushes its cache back
+// to the shared pool, so a drained server's chunks migrate to whichever workers
 // take the next burst of load.
 package sched

@@ -155,16 +155,15 @@ func (p *Pool) TotalSteals() int64 {
 }
 
 func (w *Worker) loop() {
-	idle := 0
+	var idle idleLadder
 	for !w.pool.closed.Load() {
 		w.pool.callSafePoint(w)
 		if f := w.findWork(); f != nil {
-			idle = 0
+			idle = idleLadder{}
 			f.runOn(w)
 			continue
 		}
-		idle++
-		w.idleWait(idle)
+		idle.wait(w)
 	}
 }
 
@@ -183,16 +182,15 @@ func (w *Worker) PopBottom() *Frame { return w.deque.PopBottom() }
 // WaitHelp blocks until fr completes, executing other stealable work in the
 // meantime (join with helping / leapfrogging).
 func (w *Worker) WaitHelp(fr *Frame) {
-	idle := 0
+	var idle idleLadder
 	for !fr.Done() {
 		w.pool.callSafePoint(w)
 		if f := w.findWork(); f != nil {
-			idle = 0
+			idle = idleLadder{}
 			f.runOn(w)
 			continue
 		}
-		idle++
-		w.idleWait(idle)
+		idle.wait(w)
 	}
 }
 
@@ -231,23 +229,56 @@ func (w *Worker) nextRand() uint64 {
 	return x
 }
 
-// coldTrimRounds is how many consecutive empty find-work rounds a worker
-// tolerates before flushing its chunk cache back to the global pool: long
-// enough that a worker briefly between frames keeps its chunks, short
-// enough (~100 ms of deep idling) that a drained server's chunks become
-// available to whichever workers take the next burst.
-const coldTrimRounds = 1024
+// An idle worker descends a ladder: it polls (yielding the processor between
+// looks) for pollWindow of wall-clock time since it last had a frame, then
+// takes shortSleeps sleeps of the shortest length the timer gives (tens of
+// microseconds in practice), then sleeps longSleep at a time.
+//
+// The first rung is a span of time and not a count of rounds because a round
+// costs whatever findWork and the Go scheduler make it cost: when request
+// bodies got cheaper, a fixed 32 rounds ended sooner, and requests arriving
+// at a steady rate began to land in the short-sleep rung instead of the poll
+// rung, adding a timer wake-up to the median latency of small requests.
+// The short-sleep rung stays — going straight to longSleep trebled that
+// latency — and so does sleeping instead of parking on a channel: a halted
+// virtual processor wakes slowly.
+const (
+	pollWindow  = 50 * time.Microsecond
+	shortSleeps = 32
+	longSleep   = 100 * time.Microsecond
 
-func (w *Worker) idleWait(rounds int) {
-	switch {
-	case rounds < 32:
-		runtime.Gosched()
-	case rounds < 64:
-		time.Sleep(time.Microsecond)
-	default:
-		if rounds == coldTrimRounds && w.Chunks != nil {
-			w.Chunks.Flush() // cold: return cached chunks to the shared pool
+	// coldTrimSleeps is how many sleeps in a row a worker takes before
+	// flushing its chunk cache back to the global pool: long enough that a
+	// worker briefly between frames keeps its chunks, short enough (~100 ms
+	// of deep idling) that a drained server's chunks become available to
+	// whichever workers take the next burst.
+	coldTrimSleeps = 1024
+)
+
+// idleLadder is a worker's position on the ladder; the zero value is the
+// top, which is where finding a frame puts it back.
+type idleLadder struct {
+	since  time.Time // first look that found nothing
+	sleeps int
+}
+
+func (l *idleLadder) wait(w *Worker) {
+	if l.sleeps == 0 {
+		if l.since.IsZero() {
+			l.since = time.Now()
 		}
-		time.Sleep(100 * time.Microsecond)
+		if time.Since(l.since) < pollWindow {
+			runtime.Gosched()
+			return
+		}
 	}
+	l.sleeps++
+	if l.sleeps <= shortSleeps {
+		time.Sleep(time.Microsecond)
+		return
+	}
+	if l.sleeps == coldTrimSleeps && w.Chunks != nil {
+		w.Chunks.Flush() // cold: return cached chunks to the shared pool
+	}
+	time.Sleep(longSleep)
 }

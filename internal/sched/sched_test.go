@@ -243,3 +243,29 @@ func TestSafePointHookRuns(t *testing.T) {
 		t.Fatal("safe point hook never invoked")
 	}
 }
+
+// The first rung of the idle ladder is a span of wall-clock time, however
+// many rounds fit in it: no sleep may be taken before pollWindow has passed
+// since the first empty look, and finding a frame (the zero value) starts
+// the window afresh.
+func TestIdleLadderPollsForAWindowThenSleeps(t *testing.T) {
+	w := &Worker{}
+	for pass := 0; pass < 2; pass++ {
+		var l idleLadder // what loop and WaitHelp reset to after a frame
+		start := time.Now()
+		rounds := 0
+		for l.sleeps == 0 {
+			l.wait(w)
+			rounds++
+		}
+		if polled := time.Since(start); polled < pollWindow {
+			t.Fatalf("pass %d: slept after %v of polling (%d rounds), window is %v", pass, polled, rounds, pollWindow)
+		}
+		if rounds < 2 {
+			t.Fatalf("pass %d: ladder slept on round %d without polling", pass, rounds)
+		}
+		for l.sleeps < shortSleeps+2 { // through the short rung into the long one
+			l.wait(w)
+		}
+	}
+}
