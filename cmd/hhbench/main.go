@@ -9,12 +9,6 @@
 //	hhbench -table fig9               # representative operations
 //	hhbench -table fig8               # operation cost matrix
 //	hhbench -table zones              # zone-collection concurrency (parmem)
-//	hhbench -table serve              # serving-layer throughput/latency (all systems)
-//	hhbench -table net                # open-loop TCP serving via hhserved's front end
-//	hhbench -table alloc              # chunk-pool/cache recycling, pool on vs off
-//	hhbench -table promote            # write-barrier mix + promotion cost, fast paths on vs off
-//	hhbench -table scale -procs 8     # serve throughput and lock tell-tales vs P (parmem)
-//	hhbench -table txn                # OCC transactions: abort%/rollback/retries + mixed-criticality p99
 //	hhbench -table all                # everything
 //	hhbench -bench msort,usp-tree ... # subset of benchmarks
 //	hhbench -paper                    # the paper's original problem sizes
@@ -60,7 +54,7 @@ func resolveCommit() string {
 }
 
 func main() {
-	table := flag.String("table", "all", "fig8|fig9|fig10|fig11|fig12|fig13|zones|serve|net|alloc|promote|scale|txn|all")
+	table := flag.String("table", "all", "fig8|fig9|fig10|fig11|fig12|fig13|zones|all")
 	procs := flag.Int("procs", runtime.NumCPU(), "processor count for the T_P columns")
 	reps := flag.Int("reps", 3, "repetitions per measurement (median reported)")
 	names := flag.String("bench", "", "comma-separated benchmark subset")
@@ -120,18 +114,6 @@ func main() {
 			run(tb, func() error { return report.Fig13(w, opts) })
 		case "zones":
 			run(tb, func() error { return report.ZoneTable(w, opts) })
-		case "serve":
-			run(tb, func() error { return report.ServeTable(w, opts) })
-		case "net":
-			run(tb, func() error { return report.NetTable(w, opts) })
-		case "alloc":
-			run(tb, func() error { return report.AllocTable(w, opts) })
-		case "promote":
-			run(tb, func() error { return report.PromoteTable(w, opts) })
-		case "scale":
-			run(tb, func() error { return report.ScaleTable(w, opts) })
-		case "txn":
-			run(tb, func() error { return report.TxnTable(w, opts) })
 		case "all":
 			run("fig8", func() error { return report.Fig8(w, opts, *iters) })
 			run("fig9", func() error { return report.Fig9(w, opts) })
@@ -140,12 +122,6 @@ func main() {
 			run("fig12", func() error { return report.Fig12(w, opts) })
 			run("fig13", func() error { return report.Fig13(w, opts) })
 			run("zones", func() error { return report.ZoneTable(w, opts) })
-			run("serve", func() error { return report.ServeTable(w, opts) })
-			run("net", func() error { return report.NetTable(w, opts) })
-			run("alloc", func() error { return report.AllocTable(w, opts) })
-			run("promote", func() error { return report.PromoteTable(w, opts) })
-			run("scale", func() error { return report.ScaleTable(w, opts) })
-			run("txn", func() error { return report.TxnTable(w, opts) })
 		default:
 			fmt.Fprintf(os.Stderr, "unknown table %q\n", tb)
 			os.Exit(2)

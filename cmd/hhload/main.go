@@ -57,7 +57,6 @@ func main() {
 	gcRatio := flag.Float64("gc-ratio", 1.25, "collection trigger: growth ratio")
 	minZoneSessions := flag.Int64("min-zone-sessions", 2,
 		"fail unless parmem observes this many sessions collecting concurrently (0 = off)")
-	noPool := flag.Bool("nopool", false, "disable the chunk pool / worker caches (recycling ablation)")
 	noFast := flag.Bool("nofastpath", false,
 		"force every pointer write through the master-copy lookup (barrier fast-path ablation)")
 	deferred := flag.Bool("deferred", false,
@@ -132,7 +131,7 @@ func main() {
 		}
 		for _, mode := range modes {
 			sum, ok := driveMode(mode, p, *sessions, *requests, *size, mix, *budget,
-				*gcMin, *gcRatio, *minZoneSessions, *noPool, *noFast, *deferred, *promoteBuf)
+				*gcMin, *gcRatio, *minZoneSessions, *noFast, *deferred, *promoteBuf)
 			if !ok {
 				failed = true
 			}
@@ -171,12 +170,9 @@ func main() {
 // order-independent checksum of the whole request stream.
 func driveMode(mode hh.Mode, procs, sessions, requests, size int, mix load.Mix,
 	budget, gcMin int64, gcRatio float64, minZoneSessions int64,
-	noPool, noFast, deferred bool, promoteBuf int) (uint64, bool) {
+	noFast, deferred bool, promoteBuf int) (uint64, bool) {
 
 	opts := []hh.Option{hh.WithMode(mode), hh.WithProcs(procs), hh.WithGCPolicy(gcMin, gcRatio)}
-	if noPool {
-		opts = append(opts, hh.WithoutChunkPool())
-	}
 	if noFast {
 		opts = append(opts, hh.WithoutBarrierFastPath())
 	}

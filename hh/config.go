@@ -75,27 +75,6 @@ func WithMaxConcurrentZones(n int) Option {
 	return func(c *rts.Config) { c.MaxConcurrentZones = n }
 }
 
-// WithZoneStripes sets how many lock stripes the zone scheduler spreads
-// its admission bookkeeping over (rounded up to a power of two, at most
-// 64). 0 selects the default (16). 1 reproduces a single scheduler-wide
-// admission mutex — the ablation that measures what striped admission
-// buys at high P. Admission stripes do not change WHAT may run
-// concurrently (disjointness and the WithMaxConcurrentZones cap decide
-// that), only how much the admission bookkeeping itself serializes.
-func WithZoneStripes(n int) Option {
-	return func(c *rts.Config) { c.ZoneStripes = n }
-}
-
-// WithChunkPoolShards sets how many free-list shards the global chunk pool
-// spreads over (at most 64). 0 selects the default, one shard per worker.
-// Workers overflow to and acquire from a home shard and steal batches from
-// the others on a miss, so the pool's high-water limit and recycling
-// behaviour are unchanged — only its lock granularity. Process-global,
-// like the pool limit; applies for this runtime's lifetime.
-func WithChunkPoolShards(n int) Option {
-	return func(c *rts.Config) { c.PoolShards = n }
-}
-
 // WithSTWTrigger sets the stop-the-world trigger (STW mode): collect when
 // global occupancy exceeds max(floorBytes, ratio × live-after-last-GC).
 func WithSTWTrigger(floorBytes int64, ratio float64) Option {
@@ -110,46 +89,15 @@ func WithoutGC() Option {
 	return func(c *rts.Config) { c.DisableGC = true }
 }
 
-// WithChunkPoolLimit sets the high-water mark of the global chunk pool in
-// bytes: chunks released by completed sessions and zone collections are
-// recycled up to this total, and past it go back to the OS. 0 selects the
-// default (64 MiB). The pool is process-global; the limit applies for this
-// runtime's lifetime.
-func WithChunkPoolLimit(bytes int64) Option {
-	return func(c *rts.Config) { c.PoolLimitBytes = bytes }
-}
-
-// WithWorkerCacheChunks bounds each worker's private chunk cache, in
-// chunks per size class (0 selects the default, 8). Larger caches keep
-// more allocation entirely worker-local under bursty load; smaller caches
-// return memory to the shared pool sooner.
-func WithWorkerCacheChunks(n int) Option {
-	return func(c *rts.Config) { c.CacheChunksPerClass = n }
-}
-
-// WithoutChunkPool disables the recycling allocator: every chunk release
-// is a hard free and every acquisition a fresh allocation, as in the
-// pre-pool runtime. The ablation that measures what recycling buys
-// (hhbench -table alloc reports both sides).
-func WithoutChunkPool() Option {
-	return func(c *rts.Config) { c.DisableChunkPool = true }
-}
-
 // WithoutBarrierFastPath forces every mutable pointer write through the
 // master-copy lookup under the heap read lock — the paper-faithful
 // baseline with neither the local-update fast path (§3.3) nor the
 // optimistic ancestor-pointee path, and with promote-buffer batching
 // disabled. The ablation that measures what the write-barrier fast paths
-// buy (hhbench -table promote reports both sides).
+// buy (hhload -nofastpath, BenchmarkAblationWritePtrFastPath).
 func WithoutBarrierFastPath() Option {
 	return func(c *rts.Config) { c.NoBarrierFastPath = true }
 }
-
-// WithoutWritePtrFastPath is the former name of WithoutBarrierFastPath,
-// kept for callers of the original §3.3 ablation.
-//
-// Deprecated: use WithoutBarrierFastPath.
-func WithoutWritePtrFastPath() Option { return WithoutBarrierFastPath() }
 
 // WithDeferredPromotion switches the ParMem write barrier from the
 // paper's eager transitive promotion to lazy pin-and-remember: an
@@ -161,8 +109,8 @@ func WithoutWritePtrFastPath() Option { return WithoutBarrierFastPath() }
 // re-pin, so objects that die in their leaf heap are reclaimed wholesale
 // without ever being copied. Stats().Ops
 // gains WritePtrPinned and the Deferred* outcome counters, and
-// Stats().Deferred summarizes the pin lifecycle (see TUNING.md for a
-// promote-table reading guide). Ignored outside ParMem mode.
+// Stats().Deferred summarizes the pin lifecycle (see TUNING.md for when
+// it wins). Ignored outside ParMem mode.
 func WithDeferredPromotion() Option {
 	return func(c *rts.Config) { c.DeferredPromotion = true }
 }

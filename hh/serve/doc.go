@@ -30,12 +30,12 @@
 // chunk cache of the worker that finished it and overflow into the global
 // size-classed pool, so the NEXT request's heaps are built from the last
 // request's memory — under steady load the serving hot path performs no
-// chunk-directory ID operations and no fresh allocations at all. hh
-// options tune the tiers (hh.WithChunkPoolLimit, hh.WithWorkerCacheChunks,
-// hh.WithoutChunkPool); hhbench -table serve reports the recycle rate and
-// directory operations per request, and hhbench -table alloc isolates the
-// allocator with the pool on versus off. See TUNING.md for how to read
-// them.
+// chunk-directory ID operations and no fresh allocations at all. The
+// tiers have no knobs: every worker caches mem.DefaultCacheChunksPerClass
+// chunks per size class and the pool runs one shard per worker.
+// Stats().Alloc reports the cache and pool hit rates and the directory
+// operations per request (hhload prints them; the benchmark reports them
+// as mem.cache_hit_share and mem.dirops_per_req).
 //
 // Typical use (see the runnable Example on Server):
 //

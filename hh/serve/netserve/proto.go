@@ -68,11 +68,13 @@ func readCommand(br *bufio.Reader, maxArgs, maxArgBytes int) ([][]byte, error) {
 	}
 }
 
-// readLine reads up to CRLF (or bare LF), rejecting lines beyond max bytes.
+// readLine reads up to CRLF (or bare LF), rejecting lines beyond max bytes
+// or beyond the reader's buffer, whichever is smaller; the error names the
+// limit that applied.
 func readLine(br *bufio.Reader, max int) ([]byte, error) {
 	line, err := br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		return nil, protoErrf("line exceeds %d bytes", max)
+		return nil, protoErrf("line exceeds %d bytes", min(max, br.Size()))
 	}
 	if err != nil {
 		return nil, err

@@ -94,6 +94,81 @@ func TestReadCommandOversized(t *testing.T) {
 	}
 }
 
+// TestReadCommandInlineBeyondBufferNamesBufferLimit sends an inline line
+// longer than the connection's 16 KiB reader but under MaxArgBytes: the
+// reader's size is the limit that applied, so the error must name it.
+func TestReadCommandInlineBeyondBufferNamesBufferLimit(t *testing.T) {
+	line := "PING " + strings.Repeat("x", 20000-len("PING ")) + "\r\n"
+	br := bufio.NewReaderSize(strings.NewReader(line), 16<<10)
+	_, err := readCommand(br, 16, 1<<20)
+	var pe *protoError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want protoError", err)
+	}
+	if !strings.Contains(err.Error(), "16384") {
+		t.Fatalf("err = %q, want it to name the 16384-byte reader limit", err)
+	}
+}
+
+// FuzzProto feeds arbitrary bytes to the request parser, reading frames
+// until the first error. It must never panic, never return an argument
+// over maxArgBytes, and every command it accepts, re-encoded as a RESP
+// array by Client.Send, must parse back to the same arguments. The reader is the
+// smallest bufio allows, so lines also overrun the buffer.
+func FuzzProto(f *testing.F) {
+	const maxArgs, maxArgBytes = 8, 64
+	for _, seed := range []string{
+		"PING\r\n",
+		"RUN kv 1 64\r\n",
+		"*3\r\n$3\r\nRUN\r\n$2\r\nkv\r\n$2\r\n64\r\n",
+		"\r\n  \r\n*1\r\n$4\r\nPING\r\n",
+		"*2\r\n$4\r\nPING\r\n$0\r\n\r\nQUIT\n",
+		"*2\r\n$4\r\nPI",
+		"*1\r\n$9\r\n",
+		"*",
+		"$4\r\nPING\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReaderSize(bytes.NewReader(data), 16)
+		for {
+			args, err := readCommand(br, maxArgs, maxArgBytes)
+			if err != nil {
+				return
+			}
+			if len(args) == 0 {
+				t.Fatal("accepted an empty command")
+			}
+			strs := make([]string, len(args))
+			for i, a := range args {
+				if len(a) > maxArgBytes {
+					t.Fatalf("argument of %d bytes over the %d-byte limit", len(a), maxArgBytes)
+				}
+				strs[i] = string(a)
+			}
+			var enc bytes.Buffer
+			c := &Client{bw: bufio.NewWriter(&enc)}
+			c.Send(strs...)
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			back, err := readCommand(bufio.NewReader(&enc), len(args), maxArgBytes)
+			if err != nil {
+				t.Fatalf("re-encoded %q: %v", args, err)
+			}
+			if len(back) != len(args) {
+				t.Fatalf("round trip %q -> %q", args, back)
+			}
+			for i := range args {
+				if !bytes.Equal(back[i], args[i]) {
+					t.Fatalf("round trip %q -> %q", args, back)
+				}
+			}
+		}
+	})
+}
+
 // TestReadCommandEOFIsNotProtoError distinguishes transport loss (no
 // reply possible) from protocol violations (clean -ERR owed).
 func TestReadCommandEOFIsNotProtoError(t *testing.T) {

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // ServeStats is a snapshot of a Server's lifetime serving statistics.
 type ServeStats struct {
@@ -67,14 +64,4 @@ func (s ServeStats) Breakdown() (queue, gc, barrier, mutator float64) {
 	d := float64(total)
 	return float64(s.QueueWaitTotal) / d, float64(s.GCTotal) / d,
 		float64(s.BarrierTotal) / d, float64(s.MutatorTotal) / d
-}
-
-// BreakdownString formats Breakdown as "q/gc/bar/mut" integer percentages,
-// the serve table's breakdown column.
-func (s ServeStats) BreakdownString() string {
-	if s.QueueWaitTotal+s.GCTotal+s.BarrierTotal+s.MutatorTotal <= 0 {
-		return "-"
-	}
-	q, g, b, m := s.Breakdown()
-	return fmt.Sprintf("%d/%d/%d/%d", int(q*100+0.5), int(g*100+0.5), int(b*100+0.5), int(m*100+0.5))
 }

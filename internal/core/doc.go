@@ -54,8 +54,8 @@
 //
 // All operations count themselves into per-task Counters so the evaluation
 // can report the Figure 8/9 operation taxonomy, the barrier fast/slow mix,
-// and the lock-climb amortization (hhbench -table promote). The counts are
-// exact; the one time among them, PromoteNanos, is sampled — one climb in
-// climbSample is timed and charged that many times over — unless the flight
-// recorder is on, when every climb is timed.
+// and the lock-climb amortization (the benchmark's core.* metrics). The
+// counts are exact; the one time among them, PromoteNanos, is sampled — one
+// climb in climbSample is timed and charged that many times over — unless
+// the flight recorder is on, when every climb is timed.
 package core

@@ -1,10 +1,10 @@
 // Package load defines the request scenarios driven by the closed-loop
-// load generator (cmd/hhload) and the serving benchmark tables (internal/
-// report, hhbench -table serve/alloc/promote/txn). Each scenario is one
-// self-contained request: given a seed and a size it builds, mutates, and
-// folds session-local data into a deterministic checksum, so the same
-// request stream can be replayed against every runtime mode — and against
-// every barrier/allocator ablation — and cross-validated. The stateful
+// load generator (cmd/hhload), the open-loop client (cmd/hhshoot) and the
+// benchmark (benchmark/). Each scenario is one self-contained request:
+// given a seed and a size it builds, mutates, and folds session-local data
+// into a deterministic checksum, so the same request stream can be
+// replayed against every runtime mode — and against every barrier
+// ablation — and cross-validated. The stateful
 // txn scenario shares a host-side store across requests and keeps the
 // same discipline by making each committed request's checksum a pure
 // function of its seed; the drive loop retries its optimistic-conflict
@@ -278,12 +278,8 @@ type Mix struct {
 	entries []Scenario
 }
 
-// ParseMix parses "kv=4,bfs=1,hist=1" (or "kv,bfs" with weight 1 each)
-// into a mix with default Params.
-func ParseMix(spec string) (Mix, error) { return ParseMixWith(Params{}, spec) }
-
-// ParseMixWith parses a mix spec with p bound into the parameterized
-// scenarios.
+// ParseMixWith parses "kv=4,bfs=1,hist=1" (or "kv,bfs" with weight 1
+// each) into a mix, with p bound into the parameterized scenarios.
 func ParseMixWith(p Params, spec string) (Mix, error) {
 	var m Mix
 	for _, part := range strings.Split(spec, ",") {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestParseMix(t *testing.T) {
-	m, err := ParseMix("kv=2,bfs=1,hist=1")
+	m, err := ParseMixWith(Params{}, "kv=2,bfs=1,hist=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,10 +17,10 @@ func TestParseMix(t *testing.T) {
 	if m.Pick(3).Name != m.Pick(3).Name {
 		t.Fatal("Pick must be deterministic")
 	}
-	if _, err := ParseMix("nope"); err == nil {
+	if _, err := ParseMixWith(Params{}, "nope"); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	if _, err := ParseMix("kv=0"); err == nil {
+	if _, err := ParseMixWith(Params{}, "kv=0"); err == nil {
 		t.Fatal("zero weight accepted")
 	}
 	m, err = ParseMixWith(Params{TxnKeys: 32}, "txn=2,stream=1,rank=1")

@@ -16,9 +16,8 @@ import (
 //
 // As a mix component this is the low-priority, long-occupancy tenant of
 // the mixed-criticality story: its sessions hold chunks and schedule
-// zones for much longer than a kv request, and the serve table's
-// p99-kv-vs-p99-kv+rank columns quantify how much the latency-sensitive
-// traffic pays for sharing the pool with it.
+// zones for much longer than a kv request, so the latency-sensitive
+// traffic it is mixed with shares the pool and the zone scheduler with it.
 func rankRequest(t *hh.Task, seed uint64, size, iters int) uint64 {
 	nv := size / 8
 	if nv < 16 {

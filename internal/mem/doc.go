@@ -36,8 +36,8 @@
 //
 // AllocSnapshot reports the traffic of every tier — cache/pool hit rates,
 // fresh allocations, release destinations, and the idMu-serialized
-// directory ID operations the recycling design exists to avoid; hhbench
-// -table alloc turns two snapshots into the allocator's benchmark table.
+// directory ID operations the recycling design exists to avoid; the
+// benchmark's mem.* layer metrics are differences of two snapshots.
 //
 // # Object layout
 //

@@ -308,8 +308,8 @@ func ChunkPoolShards() int { return int(poolShardCount.Load()) }
 // slabs that would push the pooled total past it are released to the OS
 // instead. 0 disables pooling entirely (every release is a hard free) and
 // drains anything currently pooled. Lowering the limit trims the surplus
-// immediately. Called by the runtime at startup; the limit, like the chunk
-// directory, is process-global.
+// immediately. The limit, like the chunk directory, is process-global; the
+// runtime leaves it at DefaultPoolLimitBytes, and only tests change it.
 func SetChunkPoolLimit(bytes int64) {
 	if bytes < 0 {
 		bytes = 0
@@ -319,8 +319,7 @@ func SetChunkPoolLimit(bytes int64) {
 }
 
 // ChunkPoolLimit returns the pool's current high-water mark in bytes
-// (0 = pooling disabled). Runtimes snapshot it so Close can restore the
-// state their New overrode.
+// (0 = pooling disabled), so a test that changes it can restore it.
 func ChunkPoolLimit() int64 { return poolLimit.Load() }
 
 // DrainChunkPool releases every pooled slab to the OS and reports how many

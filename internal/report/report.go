@@ -166,28 +166,11 @@ func fmtPct(f float64) string {
 	return fmt.Sprintf("%.1f%%", 100*f)
 }
 
-// fmtPerReq formats a per-request rate, guarding the idle-server case.
-func fmtPerReq(n, requests int64) string {
-	if requests == 0 {
-		requests = 1
-	}
-	return fmt.Sprintf("%.2f", float64(n)/float64(requests))
-}
-
 type mismatch struct {
 	bench  string
 	system string
 	got    uint64
 	want   uint64
-}
-
-// systemsFor returns the parallel systems compared against the sequential
-// baseline for a benchmark (Figure 10 vs Figure 11 column sets).
-func systemsFor(b *bench.Benchmark) []rts.Mode {
-	if b.Pure {
-		return []rts.Mode{rts.STW, rts.Manticore, rts.ParMem}
-	}
-	return []rts.Mode{rts.STW, rts.ParMem}
 }
 
 // benchTable renders the Figure 10 / Figure 11 layout for the given

@@ -159,25 +159,6 @@ func TestFig10SmokeValidates(t *testing.T) {
 	}
 }
 
-func TestServeTableSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serving benchmark")
-	}
-	var sb strings.Builder
-	if err := ServeTable(&sb, Options{Procs: 2, Reps: 1}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"Serving:", "mlton-parmem", "wholesale(MB)", "cc-sess"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("serve table missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "VALIDATION FAILURE") {
-		t.Fatalf("serve table failed validation:\n%s", out)
-	}
-}
-
 func TestEmitStampsSchemaAndWritesOutDir(t *testing.T) {
 	dir := t.TempDir()
 	o := Options{JSON: true, OutDir: dir, Commit: "deadbeef"}

@@ -43,19 +43,6 @@ type Config struct {
 	// ablation that measures what concurrent collection buys.
 	MaxConcurrentZones int
 
-	// ZoneStripes sets how many lock stripes the zone scheduler spreads its
-	// admission bookkeeping over (rounded up to a power of two, clamped to
-	// gc.MaxZoneStripes). 0 means gc.DefaultZoneStripes. 1 reproduces the
-	// fully serialized admission of a single scheduler mutex — the ablation
-	// that measures what striped admission buys at high P.
-	ZoneStripes int
-
-	// PoolShards sets how many free-list shards the global chunk pool
-	// spreads over (clamped to mem.MaxChunkPoolShards). 0 means one shard
-	// per worker. Like the pool limit this is process-global state: New
-	// applies it and Close restores the previous value.
-	PoolShards int
-
 	// STWFloorBytes and STWRatio drive the stop-the-world trigger: collect
 	// when global occupancy exceeds max(floor, ratio * live-after-last-GC).
 	STWFloorBytes int64
@@ -64,27 +51,12 @@ type Config struct {
 	// DisableGC turns collection off entirely (for GC-overhead ablations).
 	DisableGC bool
 
-	// DisableChunkPool turns the recycling allocator off: released chunks
-	// go back to the Go allocator, every acquisition is a fresh make, and
-	// workers get no chunk caches. The ablation that measures what
-	// recycling buys (hhbench -table alloc reports both sides).
-	DisableChunkPool bool
-
-	// PoolLimitBytes is the global chunk pool's high-water mark: recycled
-	// chunks past it are released to the OS. 0 means
-	// mem.DefaultPoolLimitBytes. Process-global, like the chunk directory.
-	PoolLimitBytes int64
-
-	// CacheChunksPerClass bounds each worker's private chunk cache, in
-	// chunks per size class. 0 means mem.DefaultCacheChunksPerClass.
-	CacheChunksPerClass int
-
 	// NoBarrierFastPath forces every pointer write through the master-copy
 	// lookup under the heap read lock — the paper-faithful baseline, with
 	// neither the local-update fast path (§3.3) nor the optimistic
 	// ancestor-pointee path, and with promote-buffer batching disabled.
 	// The ablation that measures what the write-barrier fast paths buy
-	// (hhbench -table promote reports both sides).
+	// (hhload -nofastpath, BenchmarkAblationWritePtrFastPath).
 	NoBarrierFastPath bool
 
 	// DeferredPromotion switches the ParMem write barrier from the paper's

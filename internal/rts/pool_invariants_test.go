@@ -6,33 +6,44 @@ import (
 	"repro/internal/mem"
 )
 
-// poolTestConfig is testConfig with small recycling tiers, so tests
-// exercise the cache-overflow and pool high-water paths, not just the
-// cache fast path.
-func poolTestConfig(mode Mode, procs int) Config {
-	cfg := testConfig(mode, procs)
-	cfg.CacheChunksPerClass = 2
-	cfg.PoolLimitBytes = 256 << 10
-	return cfg
+// poolTestConfig is testConfig with a small pool high-water mark, so
+// tests exercise the pool's release-to-OS path, not just the recycling
+// fast paths. The limit is process-global and New leaves it alone, so the
+// test sets it and restores it when it ends.
+func poolTestConfig(t *testing.T, mode Mode, procs int) Config {
+	t.Helper()
+	prev := mem.ChunkPoolLimit()
+	mem.SetChunkPoolLimit(256 << 10)
+	t.Cleanup(func() { mem.SetChunkPoolLimit(prev) })
+	return testConfig(mode, procs)
 }
 
 // TestPooledAllocatorAllModes runs a fork-heavy, collection-heavy workload
-// in all four systems with tiny cache and pool bounds, checking that the
-// recycling allocator actually recycled, that every chunk is handed back
-// at Close (pooled slabs are unregistered, so ChunksInUse must return to
-// its baseline), and that cross-mode results agree. Run under -race this
-// is also the allocator's concurrency test: chunks migrate worker → cache
-// → pool → other worker throughout.
+// in all four systems with a tiny pool bound, checking that the recycling
+// allocator actually recycled, that every chunk is handed back at Close
+// (pooled slabs are unregistered, so ChunksInUse must return to its
+// baseline), that the pool runs one shard per worker for exactly the
+// runtime's lifetime, and that cross-mode results agree. Run under -race
+// this is also the allocator's concurrency test: chunks migrate worker →
+// cache → pool → other worker throughout.
 func TestPooledAllocatorAllModes(t *testing.T) {
 	base := mem.ChunksInUse()
+	prevShards := mem.SetChunkPoolShards(3)
+	t.Cleanup(func() { mem.SetChunkPoolShards(prevShards) })
 	for _, mode := range allModes {
 		before := mem.AllocSnapshot()
-		r := New(poolTestConfig(mode, 4))
+		r := New(poolTestConfig(t, mode, 4))
+		if got := mem.ChunkPoolShards(); got != 4 {
+			t.Fatalf("%v: %d pool shards under a 4-worker runtime, want one per worker", mode, got)
+		}
 		got := r.Run(func(task *Task) uint64 {
 			root := buildTree(task, 8)
 			return sumTree(task, root)
 		})
 		r.Close()
+		if got := mem.ChunkPoolShards(); got != 3 {
+			t.Fatalf("%v: %d pool shards after Close, want the previous 3 restored", mode, got)
+		}
 		al := mem.AllocSnapshot().Sub(before)
 		if got != 256 {
 			t.Fatalf("%v: tree sum = %d, want 256", mode, got)
@@ -55,7 +66,7 @@ func TestPooledAllocatorAllModes(t *testing.T) {
 // caches, leaf-heap allocation is served worker-locally. After a couple of
 // rounds the cache+pool hit rate must dominate fresh allocation.
 func TestWorkerCachesServeAllocations(t *testing.T) {
-	r := New(poolTestConfig(ParMem, 4))
+	r := New(poolTestConfig(t, ParMem, 4))
 	defer r.Close()
 	// Earlier tests leave their slabs parked in the process-global pool; at
 	// this test's tiny 256 KiB limit that leftover stock (often the wrong
@@ -87,7 +98,7 @@ func TestWorkerCachesServeAllocations(t *testing.T) {
 // unregistered and bounded).
 func TestChunksReturnToBaselineAfterSessionsWithPooling(t *testing.T) {
 	for _, mode := range []Mode{ParMem, Seq} {
-		r := New(poolTestConfig(mode, 4))
+		r := New(poolTestConfig(t, mode, 4))
 		base := mem.ChunksInUse()
 		sessions := make([]*Session, 0, 16)
 		for i := 0; i < 16; i++ {
@@ -105,37 +116,5 @@ func TestChunksReturnToBaselineAfterSessionsWithPooling(t *testing.T) {
 			t.Fatalf("%v: %d chunks in use after sessions drained, want baseline %d", mode, got, base)
 		}
 		r.Close()
-	}
-}
-
-// TestPoolingDisabledStillCorrect is the ablation path: with the pool off
-// every release is a hard free and no caches exist, and everything still
-// computes and hands chunks back.
-func TestPoolingDisabledStillCorrect(t *testing.T) {
-	base := mem.ChunksInUse()
-	for _, mode := range allModes {
-		cfg := testConfig(mode, 2)
-		cfg.DisableChunkPool = true
-		r := New(cfg)
-		got := r.Run(func(task *Task) uint64 {
-			root := buildTree(task, 7)
-			return sumTree(task, root)
-		})
-		al := r.Stats().Alloc
-		r.Close()
-		if got != 128 {
-			t.Fatalf("%v: tree sum = %d, want 128", mode, got)
-		}
-		if al.CacheHits != 0 {
-			t.Fatalf("%v: cache hits with pooling disabled: %+v", mode, al)
-		}
-		if got := mem.ChunksInUse(); got != base {
-			t.Fatalf("%v: %d chunks in use after Close, want baseline %d", mode, got, base)
-		}
-	}
-	// Close must have restored the pre-New pool limit: the pooling-off
-	// ablation is scoped to the runtime's lifetime, not the process's.
-	if got := mem.ChunkPoolLimit(); got == 0 {
-		t.Fatal("pool limit still zero after the ablation runtime closed")
 	}
 }

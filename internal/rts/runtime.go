@@ -45,9 +45,8 @@ type Runtime struct {
 	baselineBytes  int64
 	baselineAlloc  mem.AllocStats
 	baselineRem    heap.RemSnapshot
-	prevPoolLimit  int64 // pool limit before New overrode it; Close restores
-	prevPoolShards int   // pool shard count before New overrode it
-	traceOwner     bool  // this runtime started the flight recorder; Close stops it
+	prevPoolShards int  // pool shard count before New overrode it; Close restores
+	traceOwner     bool // this runtime started the flight recorder; Close stops it
 
 	// Session accounting (session.go): every unit of work — including a
 	// plain Run — executes as a root-level session.
@@ -136,25 +135,11 @@ func New(cfg Config) *Runtime {
 		r.traceOwner = trace.Start(cfg.Procs, cfg.TraceBufEvents)
 	}
 
-	// Recycling allocator: configure the process-global pool (safe — only
-	// one Runtime is ever active) and remember the counter baseline so
-	// Stats reports this runtime's allocator traffic, not the process's.
-	// The limit and shard count apply for this runtime's lifetime: Close
-	// restores the previous ones, so an ablation runtime cannot leak
-	// pooling-off state.
-	r.prevPoolLimit = mem.ChunkPoolLimit()
-	if cfg.DisableChunkPool {
-		mem.SetChunkPoolLimit(0)
-	} else if cfg.PoolLimitBytes > 0 {
-		mem.SetChunkPoolLimit(cfg.PoolLimitBytes)
-	} else {
-		mem.SetChunkPoolLimit(mem.DefaultPoolLimitBytes)
-	}
-	poolShards := cfg.PoolShards
-	if poolShards <= 0 {
-		poolShards = cfg.Procs // one free-list shard per worker
-	}
-	r.prevPoolShards = mem.SetChunkPoolShards(poolShards)
+	// Recycling allocator: give the process-global pool one free-list shard
+	// per worker (safe — only one Runtime is ever active; Close restores the
+	// previous count) and remember the counter baseline so Stats reports
+	// this runtime's allocator traffic, not the process's.
+	r.prevPoolShards = mem.SetChunkPoolShards(cfg.Procs)
 	r.baselineAlloc = mem.AllocSnapshot()
 	r.baselineRem = heap.RemCounters()
 
@@ -166,11 +151,7 @@ func New(cfg Config) *Runtime {
 				maxZones = 1
 			}
 		}
-		stripes := cfg.ZoneStripes
-		if stripes <= 0 {
-			stripes = gc.DefaultZoneStripes
-		}
-		r.zones = gc.NewZoneSchedulerWithStripes(maxZones, stripes)
+		r.zones = gc.NewZoneScheduler(maxZones)
 	}
 
 	switch cfg.Mode {
@@ -185,11 +166,7 @@ func New(cfg Config) *Runtime {
 		// worker heaps only
 	}
 
-	var poolOpts []sched.PoolOption
-	if !cfg.DisableChunkPool {
-		poolOpts = append(poolOpts, sched.WithChunkCaches(cfg.CacheChunksPerClass))
-	}
-	r.pool = sched.NewPool(cfg.Procs, poolOpts...)
+	r.pool = sched.NewPool(cfg.Procs, sched.WithChunkCaches(mem.DefaultCacheChunksPerClass))
 	r.states = make([]*workerState, cfg.Procs)
 	for i, w := range r.pool.Workers() {
 		ws := &workerState{tasks: make(map[*Task]struct{})}
@@ -436,7 +413,6 @@ func (r *Runtime) Close() {
 			heap.FreeChunkList(r.rootHeap.TakeChunks())
 		}
 	}
-	mem.SetChunkPoolLimit(r.prevPoolLimit)
 	mem.SetChunkPoolShards(r.prevPoolShards)
 	if r.traceOwner {
 		trace.Stop()
