@@ -120,8 +120,10 @@ func WithDeferredPromotion() Option {
 // reclaim, panicking on the first violation: every remembered entry's
 // pinned chunk must still be registered and owned by the remembering
 // heap, every slot must live in a strict-ancestor heap, and the pin index
-// must balance the entry list. A debug knob for tests — the walk is
-// O(remembered entries) per collection.
+// must balance the entry list. In ParMem it also checks every
+// Task.InitPtr: the stored value must sit in the object's heap or an
+// ancestor of it, or the store panics with a *core.EntanglementError. A
+// debug knob for tests — the walk is O(remembered entries) per collection.
 func WithInvariantChecks() Option {
 	return func(c *rts.Config) { c.CheckInvariants = true }
 }

@@ -68,13 +68,26 @@ func (t *Task) AllocMut(numPtr, numWords int, tag Tag) Ptr {
 	return Ptr{t.inner.AllocMut(numPtr, numWords, tag)}
 }
 
+// AllocIn allocates like Alloc, but in ParMem the object is born in the
+// heap that holds anchor's master copy — the heap it will be published to —
+// so a following WritePtr of it into anchor takes the barrier's lock-free
+// ancestor path instead of promoting it. Every other mode, and a nil or
+// task-local anchor, is plain Alloc. It is an allocation safe point like
+// Alloc. Because the object may live in an ancestor of the task's heap,
+// InitPtr into it must store only objects from that heap or above
+// (checked under WithInvariantChecks): initialize it with the anchor's
+// existing contents, not with task-local objects.
+func (t *Task) AllocIn(anchor Ptr, numPtr, numWords int, tag Tag) Ptr {
+	return Ptr{t.inner.AllocIn(anchor.raw, numPtr, numWords, tag)}
+}
+
 // InitWord performs an initializing store of raw word i of a fresh
 // object (array construction; not mutation).
 func (t *Task) InitWord(p Ptr, i int, v uint64) { t.inner.WriteInitWord(p.raw, i, v) }
 
 // InitPtr performs an initializing store of pointer field i of a fresh
 // object. The value must be disentangled with respect to the object
-// (same heap or an ancestor).
+// (same heap or an ancestor); WithInvariantChecks enforces this in ParMem.
 func (t *Task) InitPtr(p Ptr, i int, q Ptr) { t.inner.WriteInitPtr(p.raw, i, q.raw) }
 
 // ReadImmWord reads immutable raw word i (no barrier in any mode).

@@ -10,8 +10,10 @@ import (
 )
 
 // Differential fuzzing of the three write barriers. A byte-coded schedule
-// of allocations, pointer writes, word writes, reads, heap pushes (forks),
-// pops (joins), collections, and reference drops is replayed through three
+// of allocations (in the current heap, or in the heap of an existing
+// object's master: AllocIn), pointer writes, word writes, reads, heap
+// pushes (forks), pops (joins), collections, and reference drops is
+// replayed through three
 // universes — the eager barrier (WritePtr), the paper-faithful slow path
 // (WritePtrSlow), and deferred promotion (WritePtrDeferred) — plus a plain
 // Go model that knows nothing about heaps. Every read must observe the
@@ -56,7 +58,18 @@ func newFuzzUniverse(name string, kind int) *fuzzUniverse {
 func (u *fuzzUniverse) cur() *heap.Heap { return u.stack[len(u.stack)-1] }
 
 func (u *fuzzUniverse) alloc(id int, payload uint64) {
-	p := Alloc(nil, u.cur(), &u.ops, 2, 2, mem.TagTuple)
+	u.add(Alloc(nil, u.cur(), &u.ops, 2, 2, mem.TagTuple), id, payload)
+}
+
+// allocIn allocates the object in the heap of the anchor's master and
+// returns that heap's depth.
+func (u *fuzzUniverse) allocIn(id, anchor int, payload uint64) int {
+	target := MasterHeap(u.objs[anchor])
+	u.add(AllocIn(nil, target, &u.ops, 2, 2, mem.TagTuple), id, payload)
+	return int(target.Depth())
+}
+
+func (u *fuzzUniverse) add(p mem.ObjPtr, id int, payload uint64) {
 	WriteInitPtr(&u.ops, p, 0, mem.NilPtr)
 	WriteInitPtr(&u.ops, p, 1, mem.NilPtr)
 	WriteInitWord(&u.ops, p, 0, uint64(id)+1) // ids are 1-based; 0 observes nil
@@ -193,6 +206,15 @@ func (m *fuzzModel) checksum() uint64 {
 // release drain (deferred) guarantees anything an ancestor can still
 // reach has already been copied out, so the post-abort reachable graphs
 // must again agree with the model in all three universes.
+//
+// Op 0 (alloc) is discriminated by its b operand: b == 0xA1 allocates
+// in the heap of operand c's master copy (AllocIn) instead of the current
+// heap. That heap can differ by universe — the deferred barrier may
+// still hold the anchor pinned where the eager ones promoted it — so the
+// object's home depth is the deepest of the three targets: an abort of
+// that depth may free it in some universe, and so must drop it from the
+// registry. Where it survives (a shallower target, or a drain promoting it
+// out), it is reachable exactly when the model says so.
 func runBarrierDifferential(t *testing.T, data []byte) {
 	if len(data) > fuzzMaxBytes {
 		data = data[:fuzzMaxBytes]
@@ -214,9 +236,9 @@ func runBarrierDifferential(t *testing.T, data []byte) {
 	}()
 
 	// allocDepth[i] is object i's home depth: the stack depth it was
-	// allocated at, decremented when that heap joins its parent (the merge
-	// moves its objects up a level). An abort kills every object homed at
-	// the aborted depth.
+	// allocated at (for alloc-in, its target depth), decremented when that
+	// heap joins its parent (the merge moves its objects up a level). An
+	// abort kills every object homed at the aborted depth.
 	var allocDepth []int
 
 	// pick resolves operand byte b to a live registry index, -1 if none.
@@ -250,16 +272,28 @@ func runBarrierDifferential(t *testing.T, data []byte) {
 	for step := 0; step*4+3 < len(data); step++ {
 		op, a, b, c := data[step*4], data[step*4+1], data[step*4+2], data[step*4+3]
 		switch op % 9 {
-		case 0: // alloc
+		case 0: // alloc, or alloc-in (b == 0xA1) anchored at c
 			if len(model.objs) >= fuzzMaxObjs {
 				continue
 			}
 			payload := uint64(a)
-			for _, u := range universes {
-				u.alloc(len(model.objs), payload)
+			depth := len(universes[0].stack) - 1
+			if b == 0xA1 {
+				anchor := pick(c)
+				if anchor < 0 {
+					continue
+				}
+				depth = 0
+				for _, u := range universes {
+					depth = max(depth, u.allocIn(len(model.objs), anchor, payload))
+				}
+			} else {
+				for _, u := range universes {
+					u.alloc(len(model.objs), payload)
+				}
 			}
 			model.alloc(payload)
-			allocDepth = append(allocDepth, len(universes[0].stack)-1)
+			allocDepth = append(allocDepth, depth)
 		case 1: // barrier pointer write
 			dst := pick(a)
 			if dst < 0 {
@@ -413,6 +447,7 @@ func FuzzBarrier(f *testing.F) {
 	f.Add(seedAbortUnwind())
 	f.Add(seedTxnRetry())
 	f.Add(seedAbortDeep())
+	f.Add(seedAllocIn())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runBarrierDifferential(t, data)
 	})
@@ -428,10 +463,14 @@ func TestBarrierDifferentialSchedules(t *testing.T) {
 		data := make([]byte, 2048)
 		rng.Read(data)
 		// Bias toward structural ops: rewrite a slice of op bytes so pushes,
-		// pops, and collects appear often enough to matter.
+		// pops, and collects appear often enough to matter. Every fourth op
+		// slot that holds an alloc becomes an alloc-in.
 		for i := 0; i+3 < len(data); i += 4 {
 			if rng.Intn(4) == 0 {
 				data[i] = byte(5 + rng.Intn(3)) // push/pop/collect
+			}
+			if data[i]%9 == 0 && i%16 == 4 {
+				data[i+2] = 0xA1
 			}
 		}
 		runBarrierDifferential(t, data)
@@ -575,6 +614,39 @@ func seedDeepChurn() []byte {
 		7, 1, 0, 0, // collect depth-1, gc drain path
 		6, 0, 0, 0, // pop-join to root
 		3, 0, 0, 0, // read obj0.f0
+		7, 0, 0, 0, // collect root
+	}
+}
+
+// seedAllocIn: objects born in ancestor heaps at depth 2 and 3 — an
+// alloc-in published into its anchor (the ancestor fast path), a leaf
+// object written into a born-in-place cell (promote / pin), a collection
+// of the leaf that must leave born-in-place objects alone, an alloc-in
+// whose anchor the universes hold at different depths, then a pop-join
+// and an abort of the level that object is homed at.
+func seedAllocIn() []byte {
+	return []byte{
+		0, 1, 0, 0, // alloc obj0 (root)
+		5, 0, 0, 0, // push (depth 1)
+		0, 2, 0, 0, // alloc obj1 (depth 1)
+		5, 0, 0, 0, // push (depth 2)
+		0, 3, 0, 0, // alloc obj2 (depth 2)
+		0, 4, 0xA1, 0, // alloc-in obj3 in obj0's heap (root)
+		1, 0, 0, 3, // obj0.f0 = obj3 (write into the anchor: no promotion)
+		0, 5, 0xA1, 1, // alloc-in obj4 in obj1's heap (depth 1)
+		1, 1, 0, 4, // obj1.f0 = obj4
+		1, 4, 1, 2, // obj4.f1 = obj2 (leaf into a born-in-place cell: promote / pin)
+		7, 1, 0, 0, // collect the depth-2 leaf, gc drain path
+		3, 0, 0, 0, // read obj0.f0
+		3, 4, 1, 0, // read obj4.f1
+		5, 0, 0, 0, // push (depth 3)
+		0, 6, 0xA1, 2, // alloc-in obj5 at obj2's master: depth 1 eager, depth 2 deferred
+		1, 2, 0, 5, // obj2.f0 = obj5
+		7, 0, 0, 0, // collect the depth-3 leaf, pre-drained
+		6, 0, 0, 0, // pop-join depth 3
+		6, 0xAB, 0, 0, // ABORT depth 2: obj2 and obj5 drop from the registry
+		3, 3, 1, 0, // read obj4.f1 (obj2 survives through it)
+		6, 0, 0, 0, // pop-join depth 1
 		7, 0, 0, 0, // collect root
 	}
 }

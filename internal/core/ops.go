@@ -15,6 +15,30 @@ func Alloc(cc *mem.ChunkCache, cur *heap.Heap, ops *Counters, numPtr, numNonptr 
 	return cur.FreshObjVia(cc, numPtr, numNonptr, tag)
 }
 
+// MasterHeap returns the heap holding p's master copy as of an unlocked
+// walk of its forwarding chain. A racing promotion can move the master
+// higher right after the walk; it never moves it lower.
+func MasterHeap(p mem.ObjPtr) *heap.Heap { return heap.Of(chaseFwd(p)) }
+
+// AllocIn allocates a fresh object in target, a heap shared with other
+// tasks, under target's WRITE lock: the lock a promotion into target takes
+// to allocate its copies, so the two never share target's bump pointer.
+// Manticore mode allocates its mutable objects in the global heap this
+// way. In ParMem target is an ancestor of the caller's heap — usually
+// MasterHeap of the object the new one is about to be published into, so
+// that the publishing write takes the ancestor fast path instead of a
+// promotion climb (not in the paper, whose objects are always born in the
+// allocating task's leaf heap). Target's own task is then suspended at a
+// fork and does not allocate there, and target cannot be collected or
+// merged under the call: a collection zone never contains an ancestor of a
+// live task.
+func AllocIn(cc *mem.ChunkCache, target *heap.Heap, ops *Counters, numPtr, numNonptr int, tag mem.Tag) mem.ObjPtr {
+	target.Lock(heap.WRITE)
+	p := Alloc(cc, target, ops, numPtr, numNonptr, tag)
+	target.Unlock()
+	return p
+}
+
 // ReadImmWord reads an immutable non-pointer field: a plain load with no
 // barrier of any kind. All copies of an object agree on immutable fields,
 // so forwarding pointers are irrelevant here (Figure 6, readImmutable).
@@ -147,8 +171,9 @@ func WriteInitWord(ops *Counters, p mem.ObjPtr, i int, v uint64) {
 
 // WriteInitPtr performs an initializing pointer store. The caller asserts
 // that the store cannot entangle the hierarchy (the value lives in the same
-// heap as the object, or an ancestor of it). The disentanglement checker
-// verifies this in tests.
+// heap as the object, or an ancestor of it). The runtime checks this under
+// its CheckInvariants knob (rts.Task.WriteInitPtr), and the disentanglement
+// checker verifies it in tests.
 func WriteInitPtr(ops *Counters, p mem.ObjPtr, i int, q mem.ObjPtr) {
 	ops.WriteInit++
 	mem.StorePtrField(p, i, q)

@@ -12,8 +12,9 @@ import (
 // lock (paper Figure 4).
 //
 // Allocation into a heap is never concurrent: the owning task allocates in
-// its (deepest) heap without synchronization, and promotions allocate into
-// ancestor heaps only while holding the heap's WRITE lock, at which point
+// its (deepest) heap without synchronization, and promotions and
+// core.AllocIn allocate into ancestor heaps only while holding the heap's
+// WRITE lock, at which point
 // the ancestor's owning task is suspended at a fork. The scheduler's
 // synchronization (deque publish on fork/steal, join signal on completion)
 // provides the happens-before edges between those phases.

@@ -71,12 +71,12 @@ func (p Params) withDefaults() Params {
 const kvSlots = 16
 
 // kvChurn models a key-value store's write-heavy churn: size keys hash
-// into a session-shared bucket array (a distant, promoting write per
-// insert in ParMem), each bucket's chain is then compacted — reversed in
-// place, the access-order rewrite of an LRU — and every bucket is scanned
-// back. The archetypal mutable-state request: the insert phase is all
-// promoting writes, the compaction phase is all ancestor-pointee writes
-// (promoted cell to promoted cell), the barrier fast path's home turf.
+// into a session-shared bucket array, each bucket's chain is then
+// compacted — reversed in place, the access-order rewrite of an LRU — and
+// every bucket is scanned back. Each cell is born in the bucket array's
+// heap (AllocIn), so in ParMem the insert that publishes it is an
+// ancestor-pointee write, like every write of the compaction phase (cell
+// to cell within that heap): the barrier fast path's home turf.
 func kvChurn(t *hh.Task, seed uint64, size int) uint64 {
 	var sum uint64
 	t.Scoped(func(sc *hh.Scope) {
@@ -88,7 +88,7 @@ func kvChurn(t *hh.Task, seed uint64, size int) uint64 {
 					t.Scoped(func(ws *hh.Scope) {
 						key := hh.Hash64(seed + uint64(b*n+i))
 						head := ws.Ref(t.ReadMutPtr(e.Ptr(0), b))
-						cell := t.Alloc(1, 2, hh.TagCons)
+						cell := t.AllocIn(e.Ptr(0), 1, 2, hh.TagCons)
 						t.InitWord(cell, 0, key)
 						t.InitWord(cell, 1, key^seed)
 						t.InitPtr(cell, 0, head.Get())
@@ -120,9 +120,10 @@ func kvChurn(t *hh.Task, seed uint64, size int) uint64 {
 }
 
 // bfsQuery models a graph query: a parallel visit over an implicit
-// frontier in which every visit allocates a record task-locally and links
-// it into a shared per-bucket visit list (the paper's usp-tree pattern —
-// the pessimal promotion case).
+// frontier in which every visit allocates a record and links it into a
+// shared per-bucket visit list (the paper's usp-tree pattern). The record
+// is born in the lists' heap (AllocIn), so the link does not promote;
+// forkjoin-paper's usp-tree keeps the task-local, promoting version.
 func bfsQuery(t *hh.Task, seed uint64, size int) uint64 {
 	const nb = 8
 	var sum uint64
@@ -134,7 +135,7 @@ func bfsQuery(t *hh.Task, seed uint64, size int) uint64 {
 				for v := 0; v < nv; v++ {
 					t.Scoped(func(s *hh.Scope) {
 						head := s.Ref(t.ReadMutPtr(e.Ptr(0), b))
-						rec := t.Alloc(1, 1, hh.TagCons)
+						rec := t.AllocIn(e.Ptr(0), 1, 1, hh.TagCons)
 						t.InitWord(rec, 0, hh.Hash64(seed^uint64(b)<<32^uint64(v)))
 						t.InitPtr(rec, 0, head.Get())
 						t.WritePtr(e.Ptr(0), b, rec)

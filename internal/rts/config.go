@@ -72,8 +72,10 @@ type Config struct {
 
 	// CheckInvariants runs the remembered-set invariant walker
 	// (heap.CheckInvariants) after every zone collection and at session
-	// reclaim, panicking on the first violation. Debug knob for tests; the
-	// walk is O(remembered entries) per collection.
+	// reclaim, panicking on the first violation, and in ParMem checks that
+	// every WriteInitPtr stores a value from the object's heap or an
+	// ancestor. Debug knob for tests; the walk is O(remembered entries)
+	// per collection.
 	CheckInvariants bool
 
 	// PromoteBufferObjects caps how many staged pointees one promotion lock

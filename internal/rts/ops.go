@@ -56,11 +56,24 @@ func (t *Task) AllocMut(numPtr, numNonptr int, tag mem.Tag) mem.ObjPtr {
 	r := t.rt
 	if r.cfg.Mode == Manticore {
 		t.allocGate(mem.ObjectWords(numPtr, numNonptr))
-		g := r.rootHeap
-		g.Lock(heap.WRITE)
-		p := core.Alloc(t.chunkCache(), g, &t.Ops, numPtr, numNonptr, tag)
-		g.Unlock()
-		return p
+		return core.AllocIn(t.chunkCache(), r.rootHeap, &t.Ops, numPtr, numNonptr, tag)
+	}
+	return t.Alloc(numPtr, numNonptr, tag)
+}
+
+// AllocIn allocates an object in the heap that holds anchor's master copy,
+// so that publishing it into anchor (or into anything else in that heap)
+// does not promote. In ParMem that heap is the current heap or one of its
+// ancestors; an ancestor is allocated into under its WRITE lock
+// (core.AllocIn), and the call stays a session safe point. A current-heap
+// anchor, a nil anchor and every other mode take plain Alloc: Seq and STW
+// never promote, and Manticore keeps the DLG design's local allocation.
+func (t *Task) AllocIn(anchor mem.ObjPtr, numPtr, numNonptr int, tag mem.Tag) mem.ObjPtr {
+	if t.rt.cfg.Mode == ParMem && !anchor.IsNil() {
+		if h := core.MasterHeap(anchor); h != t.sh.Current() {
+			t.allocGate(mem.ObjectWords(numPtr, numNonptr))
+			return core.AllocIn(t.chunkCache(), h, &t.Ops, numPtr, numNonptr, tag)
+		}
 	}
 	return t.Alloc(numPtr, numNonptr, tag)
 }
@@ -204,8 +217,16 @@ func (t *Task) WriteInitWord(p mem.ObjPtr, i int, v uint64) {
 
 // WriteInitPtr performs an initializing pointer store into a fresh object.
 // The value must be disentangled with respect to the object (same heap or
-// an ancestor), which the tests verify with the checker.
+// an ancestor). In ParMem with CheckInvariants set the store panics with a
+// *core.EntanglementError when it is not; an object born in an ancestor by
+// AllocIn is the easy way to get this wrong.
 func (t *Task) WriteInitPtr(p mem.ObjPtr, i int, q mem.ObjPtr) {
+	if t.rt.cfg.CheckInvariants && t.rt.cfg.Mode == ParMem && !q.IsNil() {
+		hp, hq := heap.Of(p), heap.Of(q)
+		if !core.IsAncestorOrSelf(hq, hp) {
+			panic(&core.EntanglementError{From: p, To: q, FromHeap: hp, ToHeap: hq, Field: i})
+		}
+	}
 	core.WriteInitPtr(&t.Ops, p, i, q)
 }
 

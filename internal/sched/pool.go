@@ -242,8 +242,16 @@ func (w *Worker) nextRand() uint64 {
 // The short-sleep rung stays — going straight to longSleep trebled that
 // latency — and so does sleeping instead of parking on a channel: a halted
 // virtual processor wakes slowly.
+//
+// The window is measured from the end of the last frame, so a cheaper frame
+// leaves a longer gap before the next arrival, and less of it is covered.
+// When kv requests stopped promoting (their body fell from ~60 to ~35 µs),
+// net-small's median latency at 50 µs rose from 0.23 to 0.27 ms; 75 µs gives
+// 0.19 ms at less CPU per request than before. 100 µs used 20 % more CPU
+// for a slightly lower median, and 200 µs, two workers polling through
+// nearly every gap on two vCPUs, more than doubled the median.
 const (
-	pollWindow  = 50 * time.Microsecond
+	pollWindow  = 75 * time.Microsecond
 	shortSleeps = 32
 	longSleep   = 100 * time.Microsecond
 
