@@ -245,13 +245,13 @@ func (w *Worker) nextRand() uint64 {
 //
 // The window is measured from the end of the last frame, so a cheaper frame
 // leaves a longer gap before the next arrival, and less of it is covered.
-// When kv requests stopped promoting (their body fell from ~60 to ~35 µs),
-// net-small's median latency at 50 µs rose from 0.23 to 0.27 ms; 75 µs gives
-// 0.19 ms at less CPU per request than before. 100 µs used 20 % more CPU
-// for a slightly lower median, and 200 µs, two workers polling through
-// nearly every gap on two vCPUs, more than doubled the median.
+// A longer window is not free: the same ladder runs in WaitHelp, and at
+// 75 µs churn-mix's p99 latency spread across runs grew by 60 % (IQR 0.44 →
+// 0.72 ms over 24 runs) while workers polled through join waits on two
+// vCPUs; at 50 µs net-small's median with the cheaper AllocIn kv body stays
+// within 6 % of what it was before.
 const (
-	pollWindow  = 75 * time.Microsecond
+	pollWindow  = 50 * time.Microsecond
 	shortSleeps = 32
 	longSleep   = 100 * time.Microsecond
 
