@@ -5,7 +5,6 @@
 // root-level session that is reclaimed wholesale at completion.
 //
 //	hhload -mode all -procs 4 -sessions 8 -requests 96
-//	hhload -mode parmem -mix fan=1 -promote-buffer 1   # batching ablation
 //	hhload -mode all -nofastpath                       # barrier ablation
 //	hhload -mode all -deferred                         # lazy-promotion barrier
 //	hhload -mode all -mix txn=2,stream=1,rank=1 -txn-keys 16
@@ -61,8 +60,6 @@ func main() {
 		"force every pointer write through the master-copy lookup (barrier fast-path ablation)")
 	deferred := flag.Bool("deferred", false,
 		"pin-and-remember instead of eager promotion (parmem only; the checksum must match the eager modes)")
-	promoteBuf := flag.Int("promote-buffer", 0,
-		"staged pointees per promotion lock climb (0 = default 32, 1 = no batching)")
 	procsSweep := flag.String("procs-sweep", "",
 		"comma-separated worker counts; run every mode at each P and require one checksum (overrides -procs)")
 	traceFile := flag.String("trace", "",
@@ -131,7 +128,7 @@ func main() {
 		}
 		for _, mode := range modes {
 			sum, ok := driveMode(mode, p, *sessions, *requests, *size, mix, *budget,
-				*gcMin, *gcRatio, *minZoneSessions, *noFast, *deferred, *promoteBuf)
+				*gcMin, *gcRatio, *minZoneSessions, *noFast, *deferred)
 			if !ok {
 				failed = true
 			}
@@ -170,7 +167,7 @@ func main() {
 // order-independent checksum of the whole request stream.
 func driveMode(mode hh.Mode, procs, sessions, requests, size int, mix load.Mix,
 	budget, gcMin int64, gcRatio float64, minZoneSessions int64,
-	noFast, deferred bool, promoteBuf int) (uint64, bool) {
+	noFast, deferred bool) (uint64, bool) {
 
 	opts := []hh.Option{hh.WithMode(mode), hh.WithProcs(procs), hh.WithGCPolicy(gcMin, gcRatio)}
 	if noFast {
@@ -178,9 +175,6 @@ func driveMode(mode hh.Mode, procs, sessions, requests, size int, mix load.Mix,
 	}
 	if deferred {
 		opts = append(opts, hh.WithDeferredPromotion()) // ignored outside ParMem
-	}
-	if promoteBuf != 0 {
-		opts = append(opts, hh.WithPromoteBufferObjects(promoteBuf))
 	}
 	r := hh.New(opts...)
 	defer r.Close()
@@ -220,18 +214,14 @@ func driveMode(mode hh.Mode, procs, sessions, requests, size int, mix load.Mix,
 		float64(rt.Alloc.DirIDOps)/float64(done), rt.Alloc.PooledBytes>>10)
 	ops := rt.Ops
 	if pw := ops.PtrWrites(); pw > 0 {
-		wPerClimb := 0.0
-		if ops.PromoteClimbs > 0 {
-			wPerClimb = float64(ops.WritePtrProm) / float64(ops.PromoteClimbs)
-		}
 		fmt.Printf("    barrier: %d ptr writes (%.0f%% fast, %.0f%% anc, %.0f%% find, %.0f%% prom); "+
-			"%d KiB promoted in %d climbs (%.2f writes/climb, lock depth %.2f)\n",
+			"%d KiB promoted in %d climbs (lock depth %.2f)\n",
 			pw,
 			100*float64(ops.WritePtrFast)/float64(pw),
 			100*float64(ops.WritePtrAncestor)/float64(pw),
 			100*float64(ops.WritePtrNonProm)/float64(pw),
 			100*float64(ops.WritePtrProm)/float64(pw),
-			ops.PromotedBytes()>>10, ops.PromoteClimbs, wPerClimb, ops.MeanClimbDepth())
+			ops.PromotedBytes()>>10, ops.PromoteClimbs, ops.MeanClimbDepth())
 	}
 	if res.Commits+res.Aborts > 0 {
 		rollbackPerTxn := int64(0)

@@ -92,9 +92,9 @@ func WithoutGC() Option {
 // WithoutBarrierFastPath forces every mutable pointer write through the
 // master-copy lookup under the heap read lock — the paper-faithful
 // baseline with neither the local-update fast path (§3.3) nor the
-// optimistic ancestor-pointee path, and with promote-buffer batching
-// disabled. The ablation that measures what the write-barrier fast paths
-// buy (hhload -nofastpath, BenchmarkAblationWritePtrFastPath).
+// optimistic ancestor-pointee path. The ablation that measures what the
+// write-barrier fast paths buy (hhload -nofastpath,
+// BenchmarkAblationWritePtrFastPath).
 func WithoutBarrierFastPath() Option {
 	return func(c *rts.Config) { c.NoBarrierFastPath = true }
 }
@@ -126,15 +126,6 @@ func WithDeferredPromotion() Option {
 // debug knob for tests — the walk is O(remembered entries) per collection.
 func WithInvariantChecks() Option {
 	return func(c *rts.Config) { c.CheckInvariants = true }
-}
-
-// WithPromoteBufferObjects caps how many staged pointees one promotion
-// lock climb may serve in a batched pointer write (Task.WritePtrs): the
-// capacity of each task's promote buffer. 0 selects the default (32);
-// 1 climbs per object — the batching ablation, equivalent to issuing the
-// batch as individual WritePtr calls.
-func WithPromoteBufferObjects(n int) Option {
-	return func(c *rts.Config) { c.PromoteBufferObjects = n }
 }
 
 // WithTrace enables the runtime's flight recorder: per-worker lock-free

@@ -81,13 +81,13 @@
 // Objects are made with [Task.Alloc], [Task.AllocMut] (objects shared and
 // mutated across tasks) and [Task.AllocIn], filled with [Task.InitWord]
 // and [Task.InitPtr], and then read and written through the mode's
-// barriers ([Task.ReadMutPtr], [Task.WritePtr], [Task.WritePtrs],
-// [Task.CASWord], ...). In ParMem a WritePtr that links a task-local
-// object into an object in an ancestor heap copies it up there
-// (promotion). [Task.AllocIn] avoids that copy when the destination is
-// known at allocation: the object is born in the heap that holds the
-// anchor, and may then be initialized only with objects from that heap
-// or above ([WithInvariantChecks] enforces this).
+// barriers ([Task.ReadMutPtr], [Task.WritePtr], [Task.CASWord], ...). In
+// ParMem a WritePtr that links a task-local object into an object in an
+// ancestor heap copies it up there (promotion). [Task.AllocIn] avoids
+// that copy when the destination is known at allocation: the object is
+// born in the heap that holds the anchor, and may then be initialized
+// only with objects from that heap or above ([WithInvariantChecks]
+// enforces this).
 //
 // # Runtimes
 //

@@ -111,27 +111,6 @@ func (t *Task) WriteWord(p Ptr, i int, v uint64) { t.inner.WriteNonptr(p.raw, i,
 // hierarchy (the paper's central mechanism).
 func (t *Task) WritePtr(p Ptr, i int, q Ptr) { t.inner.WritePtr(p.raw, i, q.raw) }
 
-// WritePtrs writes qs[j] into the consecutive mutable pointer fields
-// start+j of p — the batched pointer-write barrier for array-of-pointer
-// publishes (visit lists, env packs, index slices). Each field write is
-// individually linearizable, exactly as a WritePtr loop; in the
-// hierarchical modes all writes that must promote share one lock climb
-// per promote-buffer flush (WithPromoteBufferObjects) instead of climbing
-// the heap path once per object, and pointees flushed together share one
-// copy pass, so a subgraph reachable from several of them is promoted
-// once.
-func (t *Task) WritePtrs(p Ptr, start int, qs []Ptr) {
-	var stack [16]mem.ObjPtr
-	raw := stack[:0]
-	if len(qs) > len(stack) {
-		raw = make([]mem.ObjPtr, 0, len(qs))
-	}
-	for _, q := range qs {
-		raw = append(raw, q.raw)
-	}
-	t.inner.WritePtrs(p.raw, start, raw)
-}
-
 // Abort rolls the session back and never returns: the session fails with
 // an *AbortError carrying result and reason, every sibling task unwinds at
 // its next allocation safe point, and the session's subtree is reclaimed

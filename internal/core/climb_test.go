@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -215,9 +216,11 @@ func climbs(path []*heap.Heap, n int) Counters {
 
 // TestSampledPromoteNanos holds the untraced estimate of climb time (one
 // climb in climbSample timed, charged climbSample times) against the exact
-// figure the traced path keeps, over the same climbs.
+// figure the traced path keeps. The two are separate runs of the same
+// climbs, so load from other processes can stretch either one; the bound
+// applies to the median ratio over several pairs, run in alternating order.
 func TestSampledPromoteNanos(t *testing.T) {
-	const n = 20000
+	const pairs, n = 9, 5000
 	run := func(traced bool) Counters {
 		path := chain(4)
 		defer freeAll(path...)
@@ -230,14 +233,25 @@ func TestSampledPromoteNanos(t *testing.T) {
 		return climbs(path, n)
 	}
 	run(false) // warm the chunk pool so neither measured run pays for it
-	sampled, exact := run(false), run(true)
-	if sampled.PromoteClimbs != n || exact.PromoteClimbs != n {
-		t.Fatalf("climbs: sampled %d, exact %d, want %d", sampled.PromoteClimbs, exact.PromoteClimbs, n)
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var sampled, exact Counters
+		if i%2 == 0 {
+			sampled, exact = run(false), run(true)
+		} else {
+			exact, sampled = run(true), run(false)
+		}
+		if sampled.PromoteClimbs != n || exact.PromoteClimbs != n {
+			t.Fatalf("climbs: sampled %d, exact %d, want %d", sampled.PromoteClimbs, exact.PromoteClimbs, n)
+		}
+		ratios[i] = float64(sampled.PromoteNanos) / float64(exact.PromoteNanos)
 	}
-	ratio := float64(sampled.PromoteNanos) / float64(exact.PromoteNanos)
-	t.Logf("PromoteNanos over %d climbs: sampled %d, exact %d (ratio %.2f)", n, sampled.PromoteNanos, exact.PromoteNanos, ratio)
+	sort.Float64s(ratios)
+	ratio := ratios[pairs/2]
+	t.Logf("sampled/exact PromoteNanos over %d climbs, %d pairs: median %.2f, range %.2f-%.2f",
+		n, pairs, ratio, ratios[0], ratios[pairs-1])
 	if ratio < 0.5 || ratio > 2 {
-		t.Fatalf("sampled estimate %d is not within 2x of exact %d", sampled.PromoteNanos, exact.PromoteNanos)
+		t.Fatalf("median sampled/exact ratio %.2f is not within 2x", ratio)
 	}
 
 	// One full window is enough for a non-zero estimate; serve's latency

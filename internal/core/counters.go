@@ -22,7 +22,6 @@ type Counters struct {
 	WritePtrAncestor int64 // optimistic ancestor-pointee writes (no FindMaster lock)
 	WritePtrNonProm  int64 // non-promoting writes that went through FindMaster
 	WritePtrProm     int64 // pointer writes that triggered promotion
-	WritePtrBatched  int64 // promoting writes committed by a shared (batched) climb
 	WritePtrPinned   int64 // deferred-mode down-pointer writes that pinned instead of promoting
 
 	CASFast int64 // compare-and-swap on unforwarded objects
@@ -31,7 +30,7 @@ type Counters struct {
 	Promotions        int64 // promoting pointer writes committed
 	PromotedObjects   int64 // objects copied upward
 	PromotedWords     int64 // words copied upward
-	PromoteClimbs     int64 // promotion lock climbs (≤ Promotions when batching)
+	PromoteClimbs     int64 // promotion lock climbs
 	ClimbLockedHeaps  int64 // heaps write-locked across all climbs
 	PromoteNanos      int64 // wall time inside promotion climbs (lock + copy + store); a 1-in-climbSample estimate unless tracing
 	FindMasterRetries int64 // double-checked locking retries
@@ -63,7 +62,6 @@ func (c *Counters) Add(o *Counters) {
 	c.WritePtrAncestor += o.WritePtrAncestor
 	c.WritePtrNonProm += o.WritePtrNonProm
 	c.WritePtrProm += o.WritePtrProm
-	c.WritePtrBatched += o.WritePtrBatched
 	c.WritePtrPinned += o.WritePtrPinned
 	c.CASFast += o.CASFast
 	c.CASSlow += o.CASSlow
@@ -101,8 +99,8 @@ func (c *Counters) BarrierFastRate() float64 {
 }
 
 // MeanClimbDepth reports the mean number of heaps write-locked per
-// promotion lock climb — the paper's lock-path length, which batching
-// amortizes across several promoting writes. Zero when nothing promoted.
+// promotion lock climb — the paper's lock-path length. Zero when nothing
+// promoted.
 func (c *Counters) MeanClimbDepth() float64 {
 	if c.PromoteClimbs == 0 {
 		return 0

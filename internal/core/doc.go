@@ -34,10 +34,8 @@
 //     reachable graph upward (writePromote). It takes no read lock first:
 //     an unlocked walk of the forwarding chain is enough to know the write
 //     must promote, and the climb settles which copy is the master once it
-//     holds the locks (WritePtrSlow). WritePtrBatch amortizes the
-//     climb across a batch of writes staged in the task's PromoteBuf: one
-//     climb promotes every staged pointee, and pointees flushed together
-//     share one copy pass.
+//     holds the locks (WritePtrSlow). Each climb promotes one pointee; the
+//     task's PromoteBuf holds the climb's reusable scratch.
 //
 // Promotion vs. in-flight collection: zone collections (package gc) run
 // concurrently with these operations. The two machineries never meet on an

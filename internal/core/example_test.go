@@ -37,29 +37,6 @@ func ExampleWritePtr() {
 	// promoted copy holds 7 at depth 0
 }
 
-// ExampleWritePtrBatch publishes a chain of locally built records into a
-// shared array with one batched write: the task's promote buffer stages
-// every entry, one lock climb promotes them all, and the links between the
-// records mean each object is copied exactly once.
-func ExampleWritePtrBatch() {
-	root := heap.NewRoot()
-	child := heap.NewChild(root)
-	defer freeAll(root, child)
-	var ops Counters
-
-	arr := Alloc(nil, root, &ops, 4, 0, mem.TagArrPtr)
-	cells := buildChain(child, &ops, 4, 10) // record i links to record i-1
-
-	WritePtrBatch(nil, child, NewPromoteBuf(0), &ops, arr, 0, cells)
-
-	fmt.Println("promoting writes:", ops.WritePtrProm,
-		"climbs:", ops.PromoteClimbs, "objects copied:", ops.PromotedObjects)
-	fmt.Println("slot 3 holds", ReadImmWord(&ops, ReadMutPtr(&ops, arr, 3), 0))
-	// Output:
-	// promoting writes: 4 climbs: 1 objects copied: 4
-	// slot 3 holds 13
-}
-
 // ExampleReadMutWord shows the read barrier's master-copy discipline: an
 // unpromoted object is read in place, and after a promotion the same
 // handle transparently reads the master copy through its forwarding

@@ -251,71 +251,3 @@ func WritePtrSlow(cc *mem.ChunkCache, buf *PromoteBuf, ops *Counters, obj mem.Ob
 	ops.Promotions++
 	writePromote(cc, buf, ops, m, field, ptr)
 }
-
-// WritePtrBatch writes ptrs[j] into pointer field field0+j of obj for
-// every j — an array-of-pointers publish (visit lists, env packs, index
-// slices). Each field write is individually linearizable, exactly as if
-// issued through WritePtr in order; the batch is not atomic as a group.
-// What the batch buys is amortization: all writes that need promotion
-// share ONE lock climb per buffer flush (up to buf's capacity of staged
-// pointees), instead of re-acquiring the heap path per object, and
-// pointees promoted by the same flush share the promotion worklist, so a
-// subgraph reachable from several of them is copied once.
-func WritePtrBatch(cc *mem.ChunkCache, cur *heap.Heap, buf *PromoteBuf, ops *Counters, obj mem.ObjPtr, field0 int, ptrs []mem.ObjPtr) {
-	if len(ptrs) == 0 {
-		return
-	}
-	if heap.Of(obj) == cur && !mem.HasFwd(obj) {
-		ops.WritePtrFast += int64(len(ptrs))
-		mem.StorePtrFieldsAtomic(obj, field0, ptrs)
-		return
-	}
-	if buf == nil {
-		buf = &PromoteBuf{}
-	}
-	// Stage against the master found by an unlocked walk (see WritePtrSlow:
-	// it can only err towards "does not promote"). The read lock is taken at
-	// the first write that looks plain, and that write is then re-tested
-	// against the locked master; a batch that promotes throughout, the usual
-	// publish of fresh objects, never takes it.
-	m := chaseFwd(obj)
-	d := heap.Of(m).Depth()
-	var h *heap.Heap
-	buf.resetStage()
-	for j, q := range ptrs {
-		if h == nil && (q.IsNil() || d >= heap.Of(q).Depth()) {
-			m, h = FindMaster(ops, m)
-			d = h.Depth()
-		}
-		if q.IsNil() || d >= heap.Of(q).Depth() {
-			ops.WritePtrNonProm++
-			mem.StorePtrFieldAtomic(m, field0+j, q)
-			continue
-		}
-		buf.stage(field0+j, q)
-	}
-	if h != nil {
-		h.Unlock()
-	}
-	staged := len(buf.stagedFields)
-	if staged == 0 {
-		return
-	}
-	ops.WritePtrProm += int64(staged)
-	ops.Promotions += int64(staged)
-	// Flush the staged promoting writes in groups of the buffer's capacity:
-	// one climb per group. Capacity 1 degenerates to per-object promotion
-	// (the batching ablation). Only writes that actually shared a climb
-	// with another count as batched.
-	group := buf.capacity()
-	for lo := 0; lo < staged; lo += group {
-		hi := lo + group
-		if hi > staged {
-			hi = staged
-		}
-		if hi-lo > 1 {
-			ops.WritePtrBatched += int64(hi - lo)
-		}
-		writePromoteBatch(cc, buf, ops, m, buf.stagedFields[lo:hi], buf.stagedPtrs[lo:hi])
-	}
-}

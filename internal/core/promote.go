@@ -9,12 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultPromoteBufferObjects is the default capacity of a task's promote
-// buffer: how many staged pointees a single WritePtrBatch lock climb may
-// promote before a new climb starts. Capacity 1 turns batching off (one
-// climb per promoting write — the ablation baseline).
-const DefaultPromoteBufferObjects = 32
-
 // climbSpanFloor separates climbs the flight recorder records as individual
 // spans from those it coalesces. A promoting climb is often ~100 ns — close
 // to the cost of one ring publish — so emitting every climb can tax the
@@ -22,7 +16,7 @@ const DefaultPromoteBufferObjects = 32
 // above the floor get their own EvClimb complete span (these are the stalls
 // worth seeing on a timeline); shorter ones accumulate in the task's
 // PromoteBuf and go out as one EvClimb instant per climbCoalesce climbs,
-// carrying their count, total time, objects, and max lock depth — the trace
+// carrying their count, total time and max lock depth — the trace
 // keeps full climb accounting at ~1/64 the publish rate.
 const (
 	climbSpanFloor = time.Microsecond
@@ -37,24 +31,15 @@ const (
 // cheap and dear climbs), and charged climbSample times over.
 const climbSample = 16
 
-// PromoteBuf is a task-private promotion scratch buffer. It serves two
-// jobs on the promoting write path:
-//
-//   - it stages the (field, pointee) pairs of a WritePtrBatch so that one
-//     lock climb — one bottom-up write-lock acquisition of the heap path —
-//     promotes up to Cap pointees instead of re-acquiring per object, and
-//   - it owns the reusable climb and copy worklists (the locked-heap path
-//     and the promotion scan stack), so steady-state promotions allocate
-//     nothing in Go.
+// PromoteBuf is a task-private promotion scratch buffer: it owns the
+// reusable climb and copy worklists (the locked-heap path and the promotion
+// scan stack), so steady-state promotions allocate nothing in Go, and the
+// climb's timing and trace-coalescing state.
 //
 // A PromoteBuf is single-goroutine (each rts.Task embeds one); the zero
-// value is ready to use with the default capacity.
+// value is ready to use.
 type PromoteBuf struct {
-	max     int   // flush-group capacity; 0 = default, 1 = per-object climbs
 	trackP1 int32 // trace track (worker ID + 1); the zero value is off-worker
-
-	stagedFields []int
-	stagedPtrs   []mem.ObjPtr
 
 	locked []*heap.Heap // climb scratch: the write-locked heap path
 	scan   []mem.ObjPtr // promotion worklist: fresh copies to field-fix
@@ -67,7 +52,6 @@ type PromoteBuf struct {
 	// Sub-floor climb coalescing state (see climbSpanFloor / emitClimb).
 	// Task-private like the rest of the buffer, so no atomics.
 	shortClimbs uint32
-	shortObjs   uint32
 	shortDepth  uint32
 	shortNanos  int64
 }
@@ -78,40 +62,6 @@ type PromoteBuf struct {
 func (b *PromoteBuf) SetTrack(worker int) { b.trackP1 = int32(worker) + 1 }
 
 func (b *PromoteBuf) track() int { return int(b.trackP1) - 1 }
-
-// NewPromoteBuf returns a buffer with the given flush capacity (in staged
-// objects per climb). n == 0 selects DefaultPromoteBufferObjects; n == 1
-// disables batching.
-func NewPromoteBuf(n int) *PromoteBuf {
-	b := &PromoteBuf{}
-	b.SetCapacity(n)
-	return b
-}
-
-// SetCapacity sets the flush-group capacity (0 = default, 1 = per-object).
-func (b *PromoteBuf) SetCapacity(n int) {
-	if n < 0 {
-		n = 1
-	}
-	b.max = n
-}
-
-func (b *PromoteBuf) capacity() int {
-	if b.max == 0 {
-		return DefaultPromoteBufferObjects
-	}
-	return b.max
-}
-
-func (b *PromoteBuf) resetStage() {
-	b.stagedFields = b.stagedFields[:0]
-	b.stagedPtrs = b.stagedPtrs[:0]
-}
-
-func (b *PromoteBuf) stage(field int, q mem.ObjPtr) {
-	b.stagedFields = append(b.stagedFields, field)
-	b.stagedPtrs = append(b.stagedPtrs, q)
-}
 
 // lockPath write-locks every heap from src (inclusive, deepest) up to the
 // master copy of obj, deepest first, re-extending the path if obj gains a
@@ -163,14 +113,12 @@ func (b *PromoteBuf) lockPath(ops *Counters, src *heap.Heap, obj mem.ObjPtr) (me
 // start/elapsed endClimb already measured for PromoteNanos (no extra clock
 // reads), and climbs shorter than climbSpanFloor are coalesced into one
 // summary instant per climbCoalesce climbs instead of publishing each.
-func (b *PromoteBuf) emitClimb(start time.Time, elapsed time.Duration, batch, depth int) {
+func (b *PromoteBuf) emitClimb(start time.Time, elapsed time.Duration, depth int) {
 	if elapsed >= climbSpanFloor {
-		trace.Complete(b.track(), trace.EvClimb, start, elapsed, 0,
-			uint64(batch)<<32|uint64(depth))
+		trace.Complete(b.track(), trace.EvClimb, start, elapsed, 0, uint64(depth))
 		return
 	}
 	b.shortClimbs++
-	b.shortObjs += uint32(batch)
 	if uint32(depth) > b.shortDepth {
 		b.shortDepth = uint32(depth)
 	}
@@ -181,7 +129,7 @@ func (b *PromoteBuf) emitClimb(start time.Time, elapsed time.Duration, batch, de
 }
 
 // FlushClimbTrace publishes any coalesced sub-floor climbs as one EvClimb
-// instant (aux = count<<8 | max lock depth, arg = total nanos<<32 | objects)
+// instant (aux = count<<8 | max lock depth, arg = total nanos)
 // and clears the accumulator. The runtime calls it when a task finishes so
 // a task's tail of short climbs is not lost; a transient buffer's tail is
 // dropped, which a flight recorder tolerates by design.
@@ -193,9 +141,8 @@ func (b *PromoteBuf) FlushClimbTrace() {
 	if depth > 0xff {
 		depth = 0xff
 	}
-	trace.Emit(b.track(), trace.EvClimb, b.shortClimbs<<8|depth,
-		uint64(b.shortNanos)<<32|uint64(b.shortObjs))
-	b.shortClimbs, b.shortObjs, b.shortDepth, b.shortNanos = 0, 0, 0, 0
+	trace.Emit(b.track(), trace.EvClimb, b.shortClimbs<<8|depth, uint64(b.shortNanos))
+	b.shortClimbs, b.shortDepth, b.shortNanos = 0, 0, 0
 }
 
 // unlockPath releases the climb's locks, shallowest first.
@@ -233,16 +180,16 @@ func (b *PromoteBuf) startClimb() climbClock {
 	return climbClock{start: time.Now(), weight: climbSample}
 }
 
-// endClimb charges a finished climb of batch objects over depth locked
-// heaps to ops.PromoteNanos and, when traced, to the flight recorder.
-func (b *PromoteBuf) endClimb(ops *Counters, c climbClock, batch, depth int) {
+// endClimb charges a finished climb over depth locked heaps to
+// ops.PromoteNanos and, when traced, to the flight recorder.
+func (b *PromoteBuf) endClimb(ops *Counters, c climbClock, depth int) {
 	if c.weight == 0 {
 		return
 	}
 	elapsed := time.Since(c.start)
 	ops.PromoteNanos += elapsed.Nanoseconds() * c.weight
 	if c.traced {
-		b.emitClimb(c.start, elapsed, batch, depth)
+		b.emitClimb(c.start, elapsed, depth)
 	}
 }
 
@@ -264,39 +211,17 @@ func writePromote(cc *mem.ChunkCache, buf *PromoteBuf, ops *Counters, obj mem.Ob
 	if buf == nil {
 		buf = &PromoteBuf{}
 	}
-	fields, ptrs := [1]int{field}, [1]mem.ObjPtr{ptr}
-	writePromoteBatch(cc, buf, ops, obj, fields[:], ptrs[:])
-}
-
-// writePromoteBatch is the promoting write over a staged batch: fields
-// and ptrs are parallel slices of promoting writes to obj (all pointees
-// strictly deeper than obj's master at staging time). ONE lock climb —
-// from the deepest staged pointee's heap up to the master — covers every
-// staged promotion: all other pointee heaps lie on the writing task's root
-// path between the two ends, so their forwarding words are owned by the
-// same locked path. Pointees promoted by the same flush share the
-// worklist, so a subgraph reachable from several of them is copied exactly
-// once and its sharing structure is preserved across the batch.
-func writePromoteBatch(cc *mem.ChunkCache, buf *PromoteBuf, ops *Counters, obj mem.ObjPtr, fields []int, ptrs []mem.ObjPtr) {
-	src := heap.Of(ptrs[0])
-	for _, q := range ptrs[1:] {
-		if h := heap.Of(q); h.Depth() > src.Depth() {
-			src = h
-		}
-	}
-	target := heap.Of(obj)
+	src, target := heap.Of(ptr), heap.Of(obj)
 	if target.Depth() >= src.Depth() {
 		panic(fmt.Sprintf("core: writePromote precondition violated: target depth %d >= source depth %d",
 			target.Depth(), src.Depth()))
 	}
 	clock := buf.startClimb()
 	obj, target = buf.lockPath(ops, src, obj)
-	for i, q := range ptrs {
-		mem.StorePtrFieldAtomic(obj, fields[i], promote(cc, buf, ops, target, q))
-	}
+	mem.StorePtrFieldAtomic(obj, field, promote(cc, buf, ops, target, ptr))
 	depth := len(buf.locked)
 	buf.unlockPath()
-	buf.endClimb(ops, clock, len(ptrs), depth)
+	buf.endClimb(ops, clock, depth)
 }
 
 // promote copies the object graph reachable from p into target (or reuses

@@ -153,13 +153,9 @@ func bfsQuery(t *hh.Task, seed uint64, size int) uint64 {
 }
 
 // fanPublish models an index build: the request shares a directory array
-// of slots, and each partition materializes its records locally — a chain,
-// so one scope ref keeps the whole batch alive — then publishes them into
-// its slice of the directory with a single batched pointer write
-// (Task.WritePtrs). In the hierarchical modes that is the promote buffer's
-// showcase: one lock climb promotes every record of the batch, and the
-// chain links between them mean the batch shares one copy pass instead of
-// re-copying the tail per record.
+// of slots, and each partition materializes one record per slot of its
+// slice and publishes it there. Each record is born in the directory's heap
+// (AllocIn), so in ParMem the publish is an ancestor-pointee write.
 func fanPublish(t *hh.Task, seed uint64, size int) uint64 {
 	const parts = 8
 	slots := size / 4
@@ -171,30 +167,11 @@ func fanPublish(t *hh.Task, seed uint64, size int) uint64 {
 	t.Scoped(func(sc *hh.Scope) {
 		dir := sc.Ref(t.AllocMut(slots, 0, hh.TagArrPtr))
 		hh.ParDo(t, hh.Bind(dir), 0, slots, grain, func(t *hh.Task, e *hh.Env, lo, hi int) {
-			t.Scoped(func(s *hh.Scope) {
-				// Materialize the partition's records as a local chain:
-				// record j links to record j-1, so registering the head
-				// keeps every batch member live across allocations.
-				head := s.Ref(hh.Nil)
-				for j := lo; j < hi; j++ {
-					rec := t.Alloc(1, 1, hh.TagCons)
-					t.InitWord(rec, 0, hh.Hash64(seed^uint64(j)<<24))
-					t.InitPtr(rec, 0, head.Get())
-					head.Set(rec)
-				}
-				// Collect the chain into the batch (no allocation from here
-				// on, so the raw pointers stay valid). Walking from the head
-				// yields newest first, so reverse: after the swap loop,
-				// batch[i] is record lo+i, published at slot lo+i.
-				batch := make([]hh.Ptr, 0, hi-lo)
-				for p := head.Get(); !p.IsNil(); p = t.ReadImmPtr(p, 0) {
-					batch = append(batch, p)
-				}
-				for i, j := 0, len(batch)-1; i < j; i, j = i+1, j-1 {
-					batch[i], batch[j] = batch[j], batch[i]
-				}
-				t.WritePtrs(e.Ptr(0), lo, batch)
-			})
+			for j := lo; j < hi; j++ {
+				rec := t.AllocIn(e.Ptr(0), 1, 1, hh.TagCons)
+				t.InitWord(rec, 0, hh.Hash64(seed^uint64(j)<<24))
+				t.WritePtr(e.Ptr(0), j, rec)
+			}
 		})
 		for i := 0; i < slots; i++ {
 			rec := t.ReadMutPtr(dir.Get(), i)

@@ -45,10 +45,9 @@ func runnerFor(sc Scenario, size int) func(*hh.Task, uint64, int) uint64 {
 }
 
 // TestScenariosAgreeUnderBarrierAblations replays every scenario with the
-// write-barrier knobs at their extremes — fast paths ablated, promote
-// buffer reduced to per-object climbs — and checks the checksums match the
-// default configuration in both hierarchical modes. The fast paths and the
-// batching are implementation details: they must never change a result.
+// write-barrier fast paths ablated and checks the checksums match the
+// default configuration in both hierarchical modes. The fast paths are an
+// implementation detail: they must never change a result.
 func TestScenariosAgreeUnderBarrierAblations(t *testing.T) {
 	type key struct {
 		name string
@@ -60,7 +59,6 @@ func TestScenariosAgreeUnderBarrierAblations(t *testing.T) {
 	}{
 		{"default", nil},
 		{"nofastpath", []hh.Option{hh.WithoutBarrierFastPath()}},
-		{"promote-buffer-1", []hh.Option{hh.WithPromoteBufferObjects(1)}},
 	}
 	for _, mode := range []hh.Mode{hh.ParMem, hh.Manticore} {
 		want := map[key]uint64{}
@@ -125,11 +123,11 @@ func TestScenariosDeterministicAcrossModes(t *testing.T) {
 	}
 }
 
-// TestAllocInScenariosAgreeAcrossModes replays the two born-in-place
-// scenarios (kv, bfs) in all four modes and with the deferred barrier, at
-// P=2 and P=8, and checks one checksum per request throughout. In ParMem
-// their cells are born in the heap they are published to, so with either
-// barrier nothing may promote or pin.
+// TestAllocInScenariosAgreeAcrossModes replays the born-in-place
+// scenarios (kv, bfs, fan, stream) in all four modes and with the deferred
+// barrier, at P=2 and P=8, and checks one checksum per request throughout.
+// In ParMem their records are born in the heap they are published to, so
+// with either barrier nothing may promote or pin.
 func TestAllocInScenariosAgreeAcrossModes(t *testing.T) {
 	type leg struct {
 		mode     hh.Mode
@@ -144,7 +142,7 @@ func TestAllocInScenariosAgreeAcrossModes(t *testing.T) {
 				opts = append(opts, hh.WithDeferredPromotion())
 			}
 			r := hh.New(opts...)
-			for _, name := range []string{"kv", "bfs"} {
+			for _, name := range []string{"kv", "bfs", "fan", "stream"} {
 				sc, _ := ByName(name)
 				for seed := uint64(1); seed <= 3; seed++ {
 					got, err := r.Submit(hh.SessionOpts{}, func(task *hh.Task) uint64 {

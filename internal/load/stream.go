@@ -8,15 +8,11 @@ const streamParts = 4 // window partitions per request
 
 // streamWindow models sliding-window stream aggregation: each partition
 // owns a ring of window slots in a session-shared index. Every step
-// builds the step's batch as a task-local record chain, publishes its
-// head into the ring slot — expiring (discarding) the slot's previous
-// occupant — and folds an aggregate over the live window. The publish is
-// a promoting write in the eager modes and a pin in the deferred mode;
-// the expiry overwrite kills the pinned slot a window later. That
-// repeated promote-then-discard churn is the PR 9 pin lifecycle's worst
-// case: pins whose slots die before any release sweep, re-publishes that
-// hit the distinct-slot second-touch promotion, and window state that
-// never survives the session.
+// builds the step's batch as a record chain, publishes its head into the
+// ring slot — expiring (discarding) the slot's previous occupant — and
+// folds an aggregate over the live window. Every record is born in the
+// index's heap (AllocIn), so the chain links stay within that heap and,
+// in ParMem, the publish is an ancestor-pointee write.
 //
 // Partitions touch disjoint slots and fold in fixed order, so the
 // checksum is a pure function of (seed, size, window) in every mode.
@@ -39,7 +35,7 @@ func streamWindow(t *hh.Task, seed uint64, size, window int) uint64 {
 						t.Scoped(func(ws *hh.Scope) {
 							head := ws.Ref(hh.Nil)
 							for j := 0; j < recs; j++ {
-								rec := t.Alloc(1, 1, hh.TagCons)
+								rec := t.AllocIn(e.Ptr(0), 1, 1, hh.TagCons)
 								t.InitWord(rec, 0,
 									hh.Hash64(seed^uint64(p)<<40^uint64(step)<<8^uint64(j)))
 								t.InitPtr(rec, 0, head.Get())

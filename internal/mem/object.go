@@ -171,24 +171,6 @@ func StorePtrFieldAtomic(p ObjPtr, i int, q ObjPtr) {
 	atomic.StoreUint64(&GetChunk(p.ChunkID()).Data[checkPtrField(p, i)], uint64(q))
 }
 
-// StorePtrFieldsAtomic writes qs into the consecutive mutable pointer
-// fields start, start+1, … of p. Equivalent to a loop of
-// StorePtrFieldAtomic (each store individually atomic, in order), but the
-// bounds check and chunk lookup are paid once for the whole run — the
-// store half of the batched pointer-write barrier (core.WritePtrBatch).
-func StorePtrFieldsAtomic(p ObjPtr, start int, qs []ObjPtr) {
-	if len(qs) == 0 {
-		return
-	}
-	checkPtrField(p, start)
-	checkPtrField(p, start+len(qs)-1) // both ends: the whole run is in range
-	base := p.Off() + HeaderWords + uint32(start)
-	data := GetChunk(p.ChunkID()).Data
-	for j, q := range qs {
-		atomic.StoreUint64(&data[base+uint32(j)], uint64(q))
-	}
-}
-
 // CASPtrField atomically compares-and-swaps mutable pointer field i. It
 // backs the benchmarks' compare-and-swap visited marks.
 func CASPtrField(p ObjPtr, i int, old, new ObjPtr) bool {

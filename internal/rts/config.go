@@ -54,9 +54,9 @@ type Config struct {
 	// NoBarrierFastPath forces every pointer write through the master-copy
 	// lookup under the heap read lock — the paper-faithful baseline, with
 	// neither the local-update fast path (§3.3) nor the optimistic
-	// ancestor-pointee path, and with promote-buffer batching disabled.
-	// The ablation that measures what the write-barrier fast paths buy
-	// (hhload -nofastpath, BenchmarkAblationWritePtrFastPath).
+	// ancestor-pointee path. The ablation that measures what the
+	// write-barrier fast paths buy (hhload -nofastpath,
+	// BenchmarkAblationWritePtrFastPath).
 	NoBarrierFastPath bool
 
 	// DeferredPromotion switches the ParMem write barrier from the paper's
@@ -77,12 +77,6 @@ type Config struct {
 	// ancestor. Debug knob for tests; the walk is O(remembered entries)
 	// per collection.
 	CheckInvariants bool
-
-	// PromoteBufferObjects caps how many staged pointees one promotion lock
-	// climb may serve in a batched pointer write (Task.WritePtrs). 0 means
-	// core.DefaultPromoteBufferObjects; 1 climbs per object (the batching
-	// ablation).
-	PromoteBufferObjects int
 
 	// TraceBufEvents enables the flight recorder (internal/trace) with one
 	// ring of this many events per worker. 0 leaves tracing off: every emit

@@ -172,43 +172,6 @@ func (t *Task) WritePtr(p mem.ObjPtr, i int, q mem.ObjPtr) {
 	}
 }
 
-// WritePtrs writes qs[j] into the consecutive mutable pointer fields
-// i+j of p — the batched pointer-write barrier. In the hierarchical modes
-// every write that must promote shares one lock climb per promote-buffer
-// flush (Config.PromoteBufferObjects staged pointees per climb) instead of
-// climbing per object; in the flat modes it is a plain store loop. Each
-// field write is individually linearizable, exactly as a WritePtr loop.
-func (t *Task) WritePtrs(p mem.ObjPtr, i int, qs []mem.ObjPtr) {
-	switch t.rt.cfg.Mode {
-	case ParMem, Manticore:
-		if t.rt.cfg.Mode == ParMem && t.rt.cfg.DeferredPromotion {
-			// Deferred mode pins instead of climbing, so there is no climb
-			// to amortize: a plain per-field loop is the batched barrier.
-			for j, q := range qs {
-				core.WritePtrDeferred(t.chunkCache(), t.sh.Current(), &t.pbuf, &t.Ops, p, i+j, q)
-			}
-			return
-		}
-		if t.rt.cfg.NoBarrierFastPath {
-			// Paper-faithful baseline: per-object master lookup, no
-			// batching, no fast paths.
-			for j, q := range qs {
-				core.WritePtrSlow(t.chunkCache(), &t.pbuf, &t.Ops, p, i+j, q)
-			}
-			return
-		}
-		core.WritePtrBatch(t.chunkCache(), t.CurrentHeap(), &t.pbuf, &t.Ops, p, i, qs)
-	case Seq:
-		t.Ops.WritePtrFast += int64(len(qs))
-		for j, q := range qs {
-			mem.StorePtrField(p, i+j, q)
-		}
-	default: // STW
-		t.Ops.WritePtrFast += int64(len(qs))
-		mem.StorePtrFieldsAtomic(p, i, qs)
-	}
-}
-
 // WriteInitWord performs an initializing raw-word store into a fresh
 // object (array construction; not mutation).
 func (t *Task) WriteInitWord(p mem.ObjPtr, i int, v uint64) {

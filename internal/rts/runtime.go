@@ -221,7 +221,6 @@ func (r *Runtime) Run(fn func(*Task) uint64) uint64 {
 // the session's subtree heap, one level under the process super-root.
 func (r *Runtime) newSessionTask(w *sched.Worker, s *Session) *Task {
 	t := &Task{rt: r, w: w, ses: s}
-	t.pbuf.SetCapacity(r.cfg.PromoteBufferObjects)
 	if w != nil {
 		t.pbuf.SetTrack(w.ID)
 	}
@@ -241,7 +240,6 @@ func (r *Runtime) newSessionTask(w *sched.Worker, s *Session) *Task {
 // session as the victim.
 func (r *Runtime) newStolenTask(w *sched.Worker, forkHeap *heap.Heap, s *Session) *Task {
 	t := &Task{rt: r, w: w, ses: s}
-	t.pbuf.SetCapacity(r.cfg.PromoteBufferObjects)
 	if w != nil {
 		t.pbuf.SetTrack(w.ID)
 	}

@@ -128,9 +128,8 @@ func spanArgs(typ Type, begAux uint32, begArg uint64, endAux uint32, endArg uint
 		a["stripe"] = begAux >> 8
 		a["heap"] = begArg
 		a["words"] = endArg
-	case EvClimb: // complete event: batch and depth packed in one arg
-		a["batch"] = begArg >> 32
-		a["depth"] = begArg & 0xffffffff
+	case EvClimb:
+		a["depth"] = begArg
 	case EvSession:
 		a["session"] = begArg
 		if endAux == 0 {
@@ -184,8 +183,7 @@ func instantArgs(e Event) map[string]any {
 		return map[string]any{
 			"climbs":    e.Aux >> 8,
 			"max_depth": e.Aux & 0xff,
-			"total_ns":  e.Arg >> 32,
-			"objects":   e.Arg & 0xffffffff,
+			"total_ns":  e.Arg,
 		}
 	case EvShed:
 		a := map[string]any{"queued": e.Arg}

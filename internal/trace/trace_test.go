@@ -139,7 +139,7 @@ func TestExportBalancedSpans(t *testing.T) {
 				span := Begin(w, EvZone, uint32(i%2), uint64(i))
 				Emit(w, EvPoolRefill, 3, 0)
 				start := time.Now()
-				Complete(w, EvClimb, start, time.Since(start), 0, 1<<32|2)
+				Complete(w, EvClimb, start, time.Since(start), 0, 2)
 				End(w, EvZone, span, 0, uint64(i*10))
 			}
 		}(w)
@@ -206,7 +206,7 @@ func TestEmitDoesNotAllocate(t *testing.T) {
 	}
 	begin := time.Now()
 	if n := testing.AllocsPerRun(1000, func() {
-		Complete(0, EvClimb, begin, time.Microsecond, 0, 1<<32|4)
+		Complete(0, EvClimb, begin, time.Microsecond, 0, 4)
 	}); n != 0 {
 		t.Fatalf("Complete allocates %v per call, want 0", n)
 	}
