@@ -19,10 +19,15 @@
 // and retry latency. It FAILS (exit 1) if any request
 // miscomputes, if the per-request checksum stream diverges between modes
 // (or, with -procs-sweep, between any mode at any P and the first run),
-// if chunk occupancy does not return to baseline after Drain, if the txn
-// serializability oracle rejects a committed schedule, or if parmem
-// never collected two session subtrees concurrently (disable with
-// -min-zone-sessions 0).
+// if chunk occupancy does not return to baseline after Drain, or if the
+// txn serializability oracle rejects a committed schedule. With
+// -min-zone-sessions N it also fails unless parmem observed N session
+// subtrees collecting concurrently. An unpinned session's heap is not
+// collected below 1 MiB (release frees it wholesale), so at the default
+// -size no session collects at all; the concurrency gate needs requests
+// that grow a heap past that floor:
+//
+//	hhload -mode parmem -size 30000 -min-zone-sessions 2
 package main
 
 import (
@@ -54,8 +59,8 @@ func main() {
 	budget := flag.Int64("budget", 0, "per-session allocation budget in words (0 = unlimited)")
 	gcMin := flag.Int64("gc-min", 2048, "collection trigger: minimum heap words")
 	gcRatio := flag.Float64("gc-ratio", 1.25, "collection trigger: growth ratio")
-	minZoneSessions := flag.Int64("min-zone-sessions", 2,
-		"fail unless parmem observes this many sessions collecting concurrently (0 = off)")
+	minZoneSessions := flag.Int64("min-zone-sessions", 0,
+		"fail unless parmem observes this many sessions collecting concurrently (0 = off; needs a -size whose sessions pass the 1 MiB collection floor)")
 	noFast := flag.Bool("nofastpath", false,
 		"force every pointer write through the master-copy lookup (barrier fast-path ablation)")
 	deferred := flag.Bool("deferred", false,

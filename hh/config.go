@@ -64,6 +64,10 @@ func WithProcs(n int) Option {
 
 // WithGCPolicy sets the per-heap collection trigger: collect once a heap
 // holds at least minWords and has grown by ratio over its last live size.
+// In ParMem and Seq a heap of an unpinned session is not collected below
+// the default policy's 1 MiB floor (128 Ki words) whatever minWords says,
+// because the session's release frees it wholesale; above that floor, and
+// in pinned sessions (Run among them), this policy applies as given.
 func WithGCPolicy(minWords int64, ratio float64) Option {
 	return func(c *rts.Config) { c.Policy = gc.Policy{MinWords: minWords, Ratio: ratio} }
 }

@@ -7,9 +7,10 @@
 // The design follows directly from the paper's hierarchy invariant:
 // disjoint task subtrees are independent units of allocation AND
 // collection. A request that never shares mutable state with another
-// request therefore needs no global collection at all — while it runs, its
-// zones collect concurrently with every other request's, and when it
-// finishes its chunks are released in bulk, region-style, at cost
+// request therefore needs no global collection at all. While it runs, a
+// heap of its subtree is not collected until it holds 1 MiB, and past that
+// its zones collect concurrently with every other request's. When it
+// finishes, its chunks are released in bulk, region-style, at cost
 // proportional to the chunk count rather than the live data. The server
 // adds the serving policy the runtime itself does not have:
 //

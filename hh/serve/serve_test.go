@@ -10,8 +10,8 @@ import (
 )
 
 // request builds a session-local linked list, hammers it with promoting
-// writes into a session-shared array, and folds a checksum — enough work
-// to trigger collections under the aggressive test policy.
+// writes into a session-shared array, and folds a checksum. It stays under
+// the 1 MiB floor below which an unpinned session's heap is not collected.
 func request(t *hh.Task, seed uint64, n int) uint64 {
 	var sum uint64
 	t.Scoped(func(sc *hh.Scope) {
@@ -143,9 +143,16 @@ func TestLatencyAttribution(t *testing.T) {
 			srv := New(r, WithMaxInFlight(2), WithQueueDepth(requests))
 			var tickets []*Ticket
 			for i := 0; i < requests; i++ {
-				// n=400 (not the stress's 40) so every request triggers collections
-				// and the GC component of the breakdown is exercised.
-				tk, err := srv.Submit(func(task *hh.Task) uint64 { return request(task, 1, 400) })
+				// Every request first churns 1.1 MiB of garbage (1500 objects of
+				// 96 words) through its session heap: an unpinned session is not
+				// collected below 1 MiB, and the GC component of the breakdown
+				// must be exercised.
+				tk, err := srv.Submit(func(task *hh.Task) uint64 {
+					for j := 0; j < 1500; j++ {
+						task.Alloc(0, 94, hh.TagTuple)
+					}
+					return request(task, 1, 400)
+				})
 				if err != nil {
 					t.Fatal(err)
 				}

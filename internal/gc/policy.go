@@ -6,6 +6,11 @@ import "repro/internal/heap"
 // size-ratio discipline inherited from the prior hierarchical-heaps work:
 // collect once the heap has grown beyond a factor of its last live size,
 // with a floor that leaves small heaps alone.
+//
+// The runtime adds one rule of its own on top: a heap of an unpinned
+// session is never collected below DefaultPolicy's MinWords, since the
+// session's release frees it wholesale. A Policy with a lower MinWords
+// therefore acts on such a heap only once it holds 1 MiB.
 type Policy struct {
 	// MinWords is the smallest heap occupancy worth collecting.
 	MinWords int64

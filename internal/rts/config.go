@@ -34,7 +34,9 @@ type Config struct {
 	Procs int // worker count; ignored in Seq mode
 
 	// Policy triggers collection of a task-local (ParMem), single (Seq), or
-	// worker-local (Manticore) heap.
+	// worker-local (Manticore) heap. In ParMem and Seq a heap of an
+	// unpinned session is left alone below gc.DefaultPolicy().MinWords
+	// whatever Policy says: release frees it wholesale (Task.shouldCollect).
 	Policy gc.Policy
 
 	// MaxConcurrentZones caps how many hierarchical zone collections may be

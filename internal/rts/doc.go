@@ -42,6 +42,8 @@
 // heap, concurrent with other sessions, tagged through the zone scheduler
 // so cross-session collection concurrency is measured, and reclaimed
 // wholesale (bulk chunk release, no merge) on completion unless pinned.
+// An unpinned session's heaps are therefore not collected below 1 MiB
+// (Task.shouldCollect): release frees them anyway.
 // Sessions are also the failure domain: budget overruns and panics abort
 // one session, drain its frames, and surface as errors from Wait.
 package rts

@@ -86,7 +86,10 @@ func TestZoneStressSerializedCapAcrossProcs(t *testing.T) {
 
 // sessionChurn is one session's work for the attach/detach stress: build
 // and verify a list while churning enough garbage that the session's
-// subtree keeps collecting. Returns 1 on success.
+// subtree keeps collecting. Each round's garbage (1500 objects of 96
+// words, 1.1 MiB) carries the session's heap past the unpinned-session
+// floor, gc.DefaultPolicy().MinWords, below which release, not a
+// collection, reclaims it. Returns 1 on success.
 func sessionChurn(t *Task, seed uint64, listLen int) uint64 {
 	var list mem.ObjPtr
 	mark := t.PushRoot(&list)
@@ -100,7 +103,7 @@ func sessionChurn(t *Task, seed uint64, listLen int) uint64 {
 			list = cons
 		}
 		for i := 0; i < 1500; i++ {
-			t.Alloc(0, 6, mem.TagTuple) // garbage
+			t.Alloc(0, 94, mem.TagTuple) // garbage
 		}
 		p := list
 		for i := listLen - 1; i >= 0; i-- {

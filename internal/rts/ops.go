@@ -23,7 +23,7 @@ func (t *Task) Alloc(numPtr, numNonptr int, tag mem.Tag) mem.ObjPtr {
 	switch r.cfg.Mode {
 	case ParMem, Seq:
 		h := t.sh.Current()
-		if !r.cfg.DisableGC && r.cfg.Policy.ShouldCollect(h) {
+		if !r.cfg.DisableGC && t.shouldCollect(h) {
 			t.collectZone([]*heap.Heap{h}, gc.LeafZone)
 		}
 		return core.Alloc(t.chunkCache(), h, &t.Ops, numPtr, numNonptr, tag)

@@ -297,6 +297,66 @@ func TestConcurrentSessionZoneCollections(t *testing.T) {
 	t.Fatal("no two sessions ever collected concurrently")
 }
 
+// TestUnpinnedSessionCollectionFloor: under an aggressive configured policy,
+// a heap of an unpinned session is not collected until it holds
+// gc.DefaultPolicy().MinWords, because release frees it wholesale anyway.
+// The same body run pinned collects as the policy says; a heap grown past
+// the floor collects; and the allocation budget, which counts allocation
+// rather than occupancy, still aborts a session that stays under the floor.
+// Chunk occupancy returns to its baseline after every case.
+func TestUnpinnedSessionCollectionFloor(t *testing.T) {
+	floor := gc.DefaultPolicy().MinWords
+	// garbage returns a session body that allocates about the given number
+	// of words, as 32-word objects, in the session's base heap.
+	garbage := func(words int64) func(*Task) uint64 {
+		return func(task *Task) uint64 {
+			for w := int64(0); w < words; w += 32 {
+				task.Alloc(0, 30, mem.TagTuple)
+			}
+			return 1
+		}
+	}
+	cases := []struct {
+		name      string
+		opts      SessionOpts
+		words     int64
+		wantZones bool
+		wantErr   error
+	}{
+		{"unpinned-256KiB", SessionOpts{}, 32 << 10, false, nil},
+		{"pinned-256KiB", SessionOpts{Pin: true}, 32 << 10, true, nil},
+		{"unpinned-past-floor", SessionOpts{}, floor + floor/4, true, nil},
+		{"budget-below-floor", SessionOpts{BudgetWords: 16 << 10}, 32 << 10, false, ErrBudgetExceeded},
+	}
+	for _, mode := range []Mode{ParMem, Seq} {
+		for _, tc := range cases {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				before := mem.ChunksInUse()
+				r := New(sessionConfig(mode, 2))
+				base := mem.ChunksInUse()
+				_, err := r.Submit(tc.opts, garbage(tc.words)).Wait()
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+				}
+				if got := mem.ChunksInUse(); !tc.opts.Pin && got != base {
+					t.Fatalf("chunks in use after release = %d, want baseline %d", got, base)
+				}
+				zones := r.Stats().Zones.Zones
+				r.Close()
+				if got := mem.ChunksInUse(); got != before {
+					t.Fatalf("chunks in use after Close = %d, want baseline %d", got, before)
+				}
+				if tc.wantZones && zones == 0 {
+					t.Fatal("no zone collected")
+				}
+				if !tc.wantZones && zones != 0 {
+					t.Fatalf("%d zones collected below the unpinned-session floor", zones)
+				}
+			})
+		}
+	}
+}
+
 func TestCloseWaitsForLiveSessions(t *testing.T) {
 	// Close must wait submitted sessions out (wholesale release under a
 	// live mutator would corrupt the subtree; a session still queued in

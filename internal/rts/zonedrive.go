@@ -73,10 +73,26 @@ func (t *Task) collectZone(zone []*heap.Heap, kind gc.ZoneKind) {
 // allocation and live accounting were accumulated by heap.Join.
 func (t *Task) maybeCollectJoin(extra ...*mem.ObjPtr) {
 	r := t.rt
-	if r.cfg.DisableGC || !r.cfg.Policy.ShouldCollect(t.sh.Current()) {
+	if r.cfg.DisableGC || !t.shouldCollect(t.sh.Current()) {
 		return
 	}
 	mark := t.PushRoot(extra...)
 	t.collectZone([]*heap.Heap{t.sh.Current()}, gc.JoinZone)
 	t.PopRoots(mark)
+}
+
+// shouldCollect is the ParMem/Seq trigger behind both zone kinds. A heap of
+// an unpinned session dies wholesale when the session is reclaimed, so
+// collecting it early only copies what release frees a moment later: it is
+// left alone until it holds the default policy's floor (1 MiB), after which
+// the configured policy applies unchanged. Checking the floor per heap
+// keeps shared counters off the allocation path, and still bounds each
+// heap of the session between collections. Pinned sessions (Runtime.Run
+// among them) merge into the super-root instead of dying, and keep the
+// configured policy throughout.
+func (t *Task) shouldCollect(h *heap.Heap) bool {
+	if t.ses != nil && !t.ses.pin && h.UsedWords() < gc.DefaultPolicy().MinWords {
+		return false
+	}
+	return t.rt.cfg.Policy.ShouldCollect(h)
 }
