@@ -6,7 +6,6 @@
 //
 //	hhload -mode all -procs 4 -sessions 8 -requests 96
 //	hhload -mode all -nofastpath                       # barrier ablation
-//	hhload -mode all -deferred                         # lazy-promotion barrier
 //	hhload -mode all -mix txn=2,stream=1,rank=1 -txn-keys 16
 //	                                                   # transactional/streaming/analytics mix
 //	hhload -mode all -procs-sweep 2,8 -mix kv=2,bfs=1,hist=1,fan=1
@@ -63,8 +62,6 @@ func main() {
 		"fail unless parmem observes this many sessions collecting concurrently (0 = off; needs a -size whose sessions pass the 1 MiB collection floor)")
 	noFast := flag.Bool("nofastpath", false,
 		"force every pointer write through the master-copy lookup (barrier fast-path ablation)")
-	deferred := flag.Bool("deferred", false,
-		"pin-and-remember instead of eager promotion (parmem only; the checksum must match the eager modes)")
 	procsSweep := flag.String("procs-sweep", "",
 		"comma-separated worker counts; run every mode at each P and require one checksum (overrides -procs)")
 	traceFile := flag.String("trace", "",
@@ -133,7 +130,7 @@ func main() {
 		}
 		for _, mode := range modes {
 			sum, ok := driveMode(mode, p, *sessions, *requests, *size, mix, *budget,
-				*gcMin, *gcRatio, *minZoneSessions, *noFast, *deferred)
+				*gcMin, *gcRatio, *minZoneSessions, *noFast)
 			if !ok {
 				failed = true
 			}
@@ -172,14 +169,11 @@ func main() {
 // order-independent checksum of the whole request stream.
 func driveMode(mode hh.Mode, procs, sessions, requests, size int, mix load.Mix,
 	budget, gcMin int64, gcRatio float64, minZoneSessions int64,
-	noFast, deferred bool) (uint64, bool) {
+	noFast bool) (uint64, bool) {
 
 	opts := []hh.Option{hh.WithMode(mode), hh.WithProcs(procs), hh.WithGCPolicy(gcMin, gcRatio)}
 	if noFast {
 		opts = append(opts, hh.WithoutBarrierFastPath())
-	}
-	if deferred {
-		opts = append(opts, hh.WithDeferredPromotion()) // ignored outside ParMem
 	}
 	r := hh.New(opts...)
 	defer r.Close()
@@ -241,19 +235,6 @@ func driveMode(mode hh.Mode, procs, sessions, requests, size int, mix load.Mix,
 			res.Commits, res.Aborts, 100*res.AbortRate(), res.Retries,
 			rollbackPerTxn, retryLat.Round(time.Microsecond))
 	}
-	if d := rt.Deferred; d.Pins > 0 {
-		died := d.DrainDied + d.JoinElided + d.ReleaseDrop + d.GCResolved
-		fmt.Printf("    deferred: %d pins (%d refreshed, %d second-touch); %d died uncopied (%.0f%%), %d drain-promoted, %d live\n",
-			d.Pins, d.Refreshed, d.SecondTouch, died, 100*float64(died)/float64(d.Pins),
-			d.DrainPromoted, d.Live)
-		// Every pin must be resolved exactly once by the time the loop drains;
-		// a live entry here would pin a chunk of a completed session.
-		if !d.Balanced() || d.Live != 0 {
-			fmt.Fprintf(os.Stderr, "%s: pin accounting does not balance after drain: %+v\n", mode, d)
-			ok = false
-		}
-	}
-
 	if res.Failures > 0 {
 		ok = false
 	}

@@ -103,31 +103,12 @@ func WithoutBarrierFastPath() Option {
 	return func(c *rts.Config) { c.NoBarrierFastPath = true }
 }
 
-// WithDeferredPromotion switches the ParMem write barrier from the
-// paper's eager transitive promotion to lazy pin-and-remember: an
-// ancestor→descendant pointer write stores the down-pointer as-is and
-// records a remembered-set entry on the pointee's heap instead of copying
-// its subtree. The pointee is promoted only on a second cross-heap touch,
-// or when its subtree's release finds the down-pointer slot surviving;
-// zone collections evacuate pinned objects within their own heap and
-// re-pin, so objects that die in their leaf heap are reclaimed wholesale
-// without ever being copied. Stats().Ops
-// gains WritePtrPinned and the Deferred* outcome counters, and
-// Stats().Deferred summarizes the pin lifecycle (see TUNING.md for when
-// it wins). Ignored outside ParMem mode.
-func WithDeferredPromotion() Option {
-	return func(c *rts.Config) { c.DeferredPromotion = true }
-}
-
-// WithInvariantChecks runs the remembered-set invariant walker
-// (heap.CheckInvariants) after every zone collection and at session
-// reclaim, panicking on the first violation: every remembered entry's
-// pinned chunk must still be registered and owned by the remembering
-// heap, every slot must live in a strict-ancestor heap, and the pin index
-// must balance the entry list. In ParMem it also checks every
-// Task.InitPtr: the stored value must sit in the object's heap or an
-// ancestor of it, or the store panics with a *core.EntanglementError. A
-// debug knob for tests — the walk is O(remembered entries) per collection.
+// WithInvariantChecks makes every ParMem Task.InitPtr check that the
+// stored value sits in the object's heap or an ancestor of it; a store
+// that would entangle the hierarchy panics with a *core.EntanglementError.
+// An object born in an ancestor by Task.AllocIn is the easy way to get
+// this wrong. No effect in other modes. A debug knob for tests: the check
+// is one heap lookup and a depth compare per initializing pointer write.
 func WithInvariantChecks() Option {
 	return func(c *rts.Config) { c.CheckInvariants = true }
 }

@@ -117,86 +117,69 @@ func TestServeStressAllModes(t *testing.T) {
 
 // TestLatencyAttribution checks the per-request breakdown: with more
 // clients than in-flight slots the queue-wait component must be nonzero,
-// the promoting workload must charge GC time, and the summary pair
-// (LatencyCount/LatencySum) must agree with the completion count. The
-// eager barrier must also charge barrier time; under deferred promotion a
-// request's pins may all resolve without a single copy (entries die at a
-// drain or elide at a join), so barrier time may legitimately be zero —
-// but the breakdown phases must still sum to the latency, and the two
-// barriers must agree on every request checksum.
+// the promoting workload must charge GC and barrier time, every request
+// must return the same checksum, and the summary pair
+// (LatencyCount/LatencySum) must agree with the completion count.
 func TestLatencyAttribution(t *testing.T) {
 	const requests = 24
-	var refSum uint64
-	for _, tc := range []struct {
-		name        string
-		opts        []hh.Option
-		wantBarrier bool
-	}{
-		{"eager", nil, true},
-		{"deferred", []hh.Option{hh.WithDeferredPromotion()}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := append([]hh.Option{hh.WithMode(hh.ParMem), hh.WithProcs(2), hh.WithGCPolicy(2048, 1.25)}, tc.opts...)
-			r := hh.New(opts...)
-			defer r.Close()
+	t.Run("eager", func(t *testing.T) {
+		r := hh.New(hh.WithMode(hh.ParMem), hh.WithProcs(2), hh.WithGCPolicy(2048, 1.25))
+		defer r.Close()
 
-			srv := New(r, WithMaxInFlight(2), WithQueueDepth(requests))
-			var tickets []*Ticket
-			for i := 0; i < requests; i++ {
-				// Every request first churns 1.1 MiB of garbage (1500 objects of
-				// 96 words) through its session heap: an unpinned session is not
-				// collected below 1 MiB, and the GC component of the breakdown
-				// must be exercised.
-				tk, err := srv.Submit(func(task *hh.Task) uint64 {
-					for j := 0; j < 1500; j++ {
-						task.Alloc(0, 94, hh.TagTuple)
-					}
-					return request(task, 1, 400)
-				})
-				if err != nil {
-					t.Fatal(err)
+		srv := New(r, WithMaxInFlight(2), WithQueueDepth(requests))
+		var tickets []*Ticket
+		for i := 0; i < requests; i++ {
+			// Every request first churns 1.1 MiB of garbage (1500 objects of
+			// 96 words) through its session heap: an unpinned session is not
+			// collected below 1 MiB, and the GC component of the breakdown
+			// must be exercised.
+			tk, err := srv.Submit(func(task *hh.Task) uint64 {
+				for j := 0; j < 1500; j++ {
+					task.Alloc(0, 94, hh.TagTuple)
 				}
-				tickets = append(tickets, tk)
+				return request(task, 1, 400)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, tk := range tickets {
-				res, err := tk.Wait()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if refSum == 0 {
-					refSum = res
-				}
-				if res != refSum {
-					t.Fatalf("request %d checksum %x, want %x (barrier modes disagree)", i, res, refSum)
-				}
+			tickets = append(tickets, tk)
+		}
+		var refSum uint64
+		for i, tk := range tickets {
+			res, err := tk.Wait()
+			if err != nil {
+				t.Fatal(err)
 			}
-			srv.Drain()
+			if i == 0 {
+				refSum = res
+			}
+			if res != refSum {
+				t.Fatalf("request %d checksum %x, want %x", i, res, refSum)
+			}
+		}
+		srv.Drain()
 
-			st := srv.Stats()
-			if st.LatencyCount != requests || st.Completed != requests {
-				t.Fatalf("count %d completed %d, want %d", st.LatencyCount, st.Completed, requests)
-			}
-			if st.LatencySum <= 0 {
-				t.Fatalf("LatencySum = %v, want > 0", st.LatencySum)
-			}
-			if st.QueueWaitTotal <= 0 {
-				t.Fatalf("QueueWaitTotal = %v, want > 0 (24 requests through 2 slots must queue)", st.QueueWaitTotal)
-			}
-			if st.GCTotal <= 0 {
-				t.Fatalf("GCTotal = %v, want > 0 for a collecting workload", st.GCTotal)
-			}
-			if tc.wantBarrier && st.BarrierTotal <= 0 {
-				t.Fatalf("BarrierTotal = %v, want > 0 for an eagerly promoting workload", st.BarrierTotal)
-			}
-			if st.BarrierTotal < 0 {
-				t.Fatalf("BarrierTotal = %v, want >= 0", st.BarrierTotal)
-			}
-			q, gc, bar, mut := st.Breakdown()
-			if sum := q + gc + bar + mut; sum < 0.999 || sum > 1.001 {
-				t.Fatalf("breakdown fractions sum to %f, want 1", sum)
-			}
-		})
-	}
+		st := srv.Stats()
+		if st.LatencyCount != requests || st.Completed != requests {
+			t.Fatalf("count %d completed %d, want %d", st.LatencyCount, st.Completed, requests)
+		}
+		if st.LatencySum <= 0 {
+			t.Fatalf("LatencySum = %v, want > 0", st.LatencySum)
+		}
+		if st.QueueWaitTotal <= 0 {
+			t.Fatalf("QueueWaitTotal = %v, want > 0 (24 requests through 2 slots must queue)", st.QueueWaitTotal)
+		}
+		if st.GCTotal <= 0 {
+			t.Fatalf("GCTotal = %v, want > 0 for a collecting workload", st.GCTotal)
+		}
+		if st.BarrierTotal <= 0 {
+			t.Fatalf("BarrierTotal = %v, want > 0 for an eagerly promoting workload", st.BarrierTotal)
+		}
+		q, gc, bar, mut := st.Breakdown()
+		if sum := q + gc + bar + mut; sum < 0.999 || sum > 1.001 {
+			t.Fatalf("breakdown fractions sum to %f, want 1", sum)
+		}
+	})
 }
 
 // TestServeDrainReturnsToBaseline is the strict leak check: with no pinned

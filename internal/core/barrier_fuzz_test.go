@@ -9,20 +9,16 @@ import (
 	"repro/internal/mem"
 )
 
-// Differential fuzzing of the three write barriers. A byte-coded schedule
-// of allocations (in the current heap, or in the heap of an existing
-// object's master: AllocIn), pointer writes, word writes, reads, heap
-// pushes (forks), pops (joins), collections, and reference drops is
-// replayed through three
-// universes — the eager barrier (WritePtr), the paper-faithful slow path
-// (WritePtrSlow), and deferred promotion (WritePtrDeferred) — plus a plain
-// Go model that knows nothing about heaps. Every read must observe the
-// same value in all four, and after every structural step (push, pop,
+// Differential fuzzing of the two write-barrier entry points. A byte-coded
+// schedule of allocations (in the current heap, or in the heap of an
+// existing object's master: AllocIn), pointer writes, word writes, reads,
+// heap pushes (forks), pops (joins and aborts), collections, and reference
+// drops is replayed through two universes — the barrier with its fast
+// paths (WritePtr) and the paper-faithful slow path (WritePtrSlow) — plus
+// a plain Go model that knows nothing about heaps. Every read must observe
+// the same value in all three, and after every structural step (push, pop,
 // collect, end of schedule) the reachable graphs must fold to the same
-// structural checksum. The deferred universe additionally runs the
-// remembered-set invariant walker (heap.CheckInvariants) after every
-// structural step, and the whole run must leave the package-global pin
-// accounting balanced.
+// structural checksum.
 //
 // Object identity across universes: ObjPtr bit patterns differ per
 // universe (different heaps, different promotion histories), so objects
@@ -39,7 +35,6 @@ const (
 const (
 	uEager = iota
 	uSlow
-	uDeferred
 )
 
 type fuzzUniverse struct {
@@ -83,8 +78,6 @@ func (u *fuzzUniverse) writePtr(dst int, field int, src mem.ObjPtr) {
 		WritePtr(nil, u.cur(), &u.pbuf, &u.ops, u.objs[dst], field, src)
 	case uSlow:
 		WritePtrSlow(nil, &u.pbuf, &u.ops, u.objs[dst], field, src)
-	case uDeferred:
-		WritePtrDeferred(nil, u.cur(), &u.pbuf, &u.ops, u.objs[dst], field, src)
 	}
 }
 
@@ -128,8 +121,7 @@ func (u *fuzzUniverse) checksum() uint64 {
 }
 
 // close joins every pushed heap back into the root and frees the root's
-// chunks, so one fuzz execution leaves no chunks (and, for the deferred
-// universe, no live pins — the top-level joins elide every entry) behind.
+// chunks, so one fuzz execution leaves no chunks behind.
 func (u *fuzzUniverse) close() {
 	for len(u.stack) > 1 {
 		child := u.stack[len(u.stack)-1]
@@ -197,41 +189,28 @@ func (m *fuzzModel) checksum() uint64 {
 //
 // Op 6 (pop) is discriminated by its a operand: a == 0xAB ABORTS the
 // current heap — the transaction-rollback shape — instead of joining it.
-// An abort releases the heap's chunks wholesale with no join; the
-// deferred universe must first DrainForRelease its remembered set, so
-// pointees an ancestor still holds (pins) are promoted out before their
-// chunks are recycled, while subtree-internal entries die unresolved.
-// Everything allocated at the aborted depth is then dropped from the
-// registry and the model: promotion at write time (eager/slow) or at the
-// release drain (deferred) guarantees anything an ancestor can still
+// An abort releases the heap's chunks wholesale with no join. Everything
+// allocated at the aborted depth is then dropped from the registry and the
+// model: promotion at write time guarantees anything an ancestor can still
 // reach has already been copied out, so the post-abort reachable graphs
-// must again agree with the model in all three universes.
+// must again agree with the model in both universes.
 //
 // Op 0 (alloc) is discriminated by its b operand: b == 0xA1 allocates
 // in the heap of operand c's master copy (AllocIn) instead of the current
-// heap. That heap can differ by universe — the deferred barrier may
-// still hold the anchor pinned where the eager ones promoted it — so the
-// object's home depth is the deepest of the three targets: an abort of
-// that depth may free it in some universe, and so must drop it from the
-// registry. Where it survives (a shallower target, or a drain promoting it
-// out), it is reachable exactly when the model says so.
+// heap. Both barriers promote eagerly to the same depth, so the universes
+// must agree on that heap's depth, which becomes the object's home depth.
 func runBarrierDifferential(t *testing.T, data []byte) {
 	if len(data) > fuzzMaxBytes {
 		data = data[:fuzzMaxBytes]
 	}
-	remBase := heap.RemCounters()
 	universes := []*fuzzUniverse{
 		newFuzzUniverse("eager", uEager),
 		newFuzzUniverse("slow", uSlow),
-		newFuzzUniverse("deferred", uDeferred),
 	}
 	model := &fuzzModel{}
 	defer func() {
 		for _, u := range universes {
 			u.close()
-		}
-		if d := heap.RemCounters().Live - remBase.Live; d != 0 {
-			t.Fatalf("schedule leaked %d live remembered entries", d)
 		}
 	}()
 
@@ -263,10 +242,6 @@ func runBarrierDifferential(t *testing.T, data []byte) {
 				t.Fatalf("step %d (%s): %s checksum %x, model %x", step, what, u.name, got, want)
 			}
 		}
-		du := universes[2]
-		if err := heap.CheckInvariants(du.stack...); err != nil {
-			t.Fatalf("step %d (%s): deferred invariants: %v", step, what, err)
-		}
 	}
 
 	for step := 0; step*4+3 < len(data); step++ {
@@ -283,9 +258,14 @@ func runBarrierDifferential(t *testing.T, data []byte) {
 				if anchor < 0 {
 					continue
 				}
-				depth = 0
+				depth = -1
 				for _, u := range universes {
-					depth = max(depth, u.allocIn(len(model.objs), anchor, payload))
+					d := u.allocIn(len(model.objs), anchor, payload)
+					if depth >= 0 && d != depth {
+						t.Fatalf("step %d: AllocIn lands at depth %d in %s, %d in %s",
+							step, d, u.name, depth, universes[0].name)
+					}
+					depth = d
 				}
 			} else {
 				for _, u := range universes {
@@ -368,17 +348,12 @@ func runBarrierDifferential(t *testing.T, data []byte) {
 			}
 			depth := len(universes[0].stack) - 1
 			if a == 0xAB {
-				// Abort-unwind: wholesale release, no join. The deferred
-				// universe resolves its pins first — exactly the runtime's
-				// session-abort path — so ancestor-held pointees survive the
-				// chunk recycling; the eager universes promoted them at write
-				// time and have nothing to do.
+				// Abort-unwind: wholesale release, no join. Ancestor-held
+				// pointees were promoted at write time, so they survive the
+				// chunk recycling.
 				for _, u := range universes {
 					child := u.stack[len(u.stack)-1]
 					u.stack = u.stack[:len(u.stack)-1]
-					if u.kind == uDeferred {
-						DrainForRelease(nil, &u.pbuf, &u.ops, child.Depth(), []*heap.Heap{child})
-					}
 					heap.FreeChunkList(child.TakeChunks())
 				}
 				for i := range model.objs {
@@ -406,12 +381,6 @@ func runBarrierDifferential(t *testing.T, data []byte) {
 			checkStructure(step, "join")
 		case 7: // collect the current heap (always a leaf of the stack)
 			for _, u := range universes {
-				if u.kind == uDeferred && a%2 == 0 {
-					// Runtime-shaped path: drain before collecting. Odd a
-					// leaves the set populated so gc's extra-roots pass
-					// (Collector.drainRemembered) resolves the pins instead.
-					DrainRemembered(nil, &u.pbuf, &u.ops, u.cur())
-				}
 				var roots []*mem.ObjPtr
 				for i := range u.objs {
 					if !u.objs[i].IsNil() {
@@ -478,39 +447,41 @@ func TestBarrierDifferentialSchedules(t *testing.T) {
 }
 
 // Crafted seeds. Each returns one 4-byte-per-op schedule hitting a
-// deferred-promotion lifecycle corner.
+// promotion, join, collection or abort corner. Several are named for a
+// pin-and-drain barrier the runtime no longer has; each is still a valid
+// program for both universes.
 
-// seedPinSecondTouch: pin a child object into a root slot, touch it again
-// through a second root slot (eager promotion on second touch), drain via
-// a pre-drained collection, then join.
+// seedPinSecondTouch: publish a child object into a root slot (promotes),
+// publish it again through a second root slot (already promoted: a plain
+// write), collect the child, then join.
 func seedPinSecondTouch() []byte {
 	return []byte{
 		0, 1, 0, 0, // alloc obj0 (root)
 		0, 2, 0, 0, // alloc obj1 (root)
 		5, 0, 0, 0, // push
 		0, 3, 0, 0, // alloc obj2 (child)
-		1, 0, 0, 2, // obj0.f0 = obj2   (pin)
+		1, 0, 0, 2, // obj0.f0 = obj2   (promote)
 		3, 0, 0, 0, // read obj0.f0
-		1, 1, 0, 2, // obj1.f0 = obj2   (second touch → promote)
+		1, 1, 0, 2, // obj1.f0 = obj2   (already promoted)
 		3, 1, 0, 0, // read obj1.f0
-		7, 0, 0, 0, // collect child, pre-drained
+		7, 0, 0, 0, // collect child
 		6, 0, 0, 0, // pop-join
 		7, 1, 0, 0, // collect root
 	}
 }
 
-// seedPinDrainPaths: pin, overwrite the slot (the entry dies at the
-// drain), pin another, and collect WITHOUT the pre-drain so gc's
-// extra-roots pass resolves the set; then forget and recollect.
+// seedPinDrainPaths: promote one child object into a root slot, overwrite
+// the slot with another (promoting it too), collect the child; then forget
+// the first and recollect.
 func seedPinDrainPaths() []byte {
 	return []byte{
 		0, 1, 0, 0, // alloc obj0 (root)
 		5, 0, 0, 0, // push
 		0, 2, 0, 0, // alloc obj1 (child)
 		0, 3, 0, 0, // alloc obj2 (child)
-		1, 0, 0, 1, // obj0.f0 = obj1   (pin obj1)
-		1, 0, 0, 2, // obj0.f0 = obj2   (pin obj2; obj1's entry dies)
-		7, 1, 0, 0, // collect child, NO pre-drain (gc drain path)
+		1, 0, 0, 1, // obj0.f0 = obj1   (promote obj1)
+		1, 0, 0, 2, // obj0.f0 = obj2   (promote obj2)
+		7, 1, 0, 0, // collect child
 		3, 0, 0, 0, // read obj0.f0
 		8, 1, 0, 0, // forget obj1
 		7, 1, 0, 0, // collect child again (obj1 now garbage)
@@ -518,32 +489,30 @@ func seedPinDrainPaths() []byte {
 	}
 }
 
-// seedJoinElide: pin from the root into a child, then join immediately —
-// the entry must elide (depth change ends the entanglement), with no
-// drain ever running.
+// seedJoinElide: promote a child object into a root slot, then join
+// immediately.
 func seedJoinElide() []byte {
 	return []byte{
 		0, 1, 0, 0, // alloc obj0 (root)
 		5, 0, 0, 0, // push
 		0, 2, 0, 0, // alloc obj1 (child)
-		1, 0, 1, 1, // obj0.f1 = obj1   (pin)
-		6, 0, 0, 0, // pop-join (elide)
+		1, 0, 1, 1, // obj0.f1 = obj1   (promote)
+		6, 0, 0, 0, // pop-join
 		3, 0, 1, 0, // read obj0.f1
 		7, 0, 0, 0, // collect root
 	}
 }
 
 // seedAbortUnwind: the basic rollback shape — stage objects in a child,
-// publish one into an ancestor slot (pin in the deferred universe), then
-// abort. The pinned pointee must be drain-promoted before the chunks are
-// recycled; the unpublished sibling must die with the heap.
+// publish one into an ancestor slot (promotes), then abort. The published
+// object survives in the root; the unpublished sibling dies with the heap.
 func seedAbortUnwind() []byte {
 	return []byte{
 		0, 1, 0, 0, // alloc obj0 (root)
 		5, 0, 0, 0, // push
 		0, 2, 0, 0, // alloc obj1 (child: published intent)
 		0, 3, 0, 0, // alloc obj2 (child: private scratch)
-		1, 0, 0, 1, // obj0.f0 = obj1   (publish → promote / pin)
+		1, 0, 0, 1, // obj0.f0 = obj1   (publish → promote)
 		2, 2, 9, 0, // obj2.payload = ... (scratch mutation)
 		6, 0xAB, 0, 0, // ABORT: obj2 dies, obj1 survives via obj0.f0
 		3, 0, 0, 0, // read obj0.f0 (must still see obj1's id)
@@ -575,8 +544,9 @@ func seedTxnRetry() []byte {
 }
 
 // seedAbortDeep: abort an inner level while an outer child survives and
-// later joins — the unwind must only kill the aborted depth, and entries
-// pinned from the outer child (not the root) must drain to the right heap.
+// later joins — the unwind must only kill the aborted depth, and an object
+// published from the outer child (not the root) must end up in the right
+// heap.
 func seedAbortDeep() []byte {
 	return []byte{
 		0, 1, 0, 0, // alloc obj0 (root)
@@ -585,14 +555,14 @@ func seedAbortDeep() []byte {
 		5, 0, 0, 0, // push (depth 2)
 		0, 3, 0, 0, // alloc obj2 (depth 2)
 		0, 4, 0, 0, // alloc obj3 (depth 2, private)
-		1, 1, 0, 2, // obj1.f0 = obj2 (pin at depth 1, not root)
-		1, 0, 1, 2, // obj0.f1 = obj2 (second touch from the root)
-		6, 0xAB, 0, 0, // ABORT depth 2: obj3 dies, obj2 drained out
+		1, 1, 0, 2, // obj1.f0 = obj2 (promote to depth 1, not root)
+		1, 0, 1, 2, // obj0.f1 = obj2 (promote again, to the root)
+		6, 0xAB, 0, 0, // ABORT depth 2: obj3 dies, obj2 was promoted out
 		3, 1, 0, 0, // read obj1.f0
-		7, 0, 0, 0, // collect depth 1, pre-drained
+		7, 0, 0, 0, // collect depth 1
 		6, 0, 0, 0, // pop-join depth 1
 		3, 0, 1, 0, // read obj0.f1
-		7, 1, 0, 0, // collect root, gc drain path
+		7, 1, 0, 0, // collect root
 	}
 }
 
@@ -603,15 +573,15 @@ func seedDeepChurn() []byte {
 		0, 1, 0, 0, // alloc obj0 (root)
 		5, 0, 0, 0, // push (depth 1)
 		0, 2, 0, 0, // alloc obj1
-		1, 0, 0, 1, // obj0.f0 = obj1 (pin at depth 1)
+		1, 0, 0, 1, // obj0.f0 = obj1 (promote from depth 1)
 		5, 0, 0, 0, // push (depth 2)
 		0, 3, 0, 0, // alloc obj2
-		1, 1, 0, 2, // obj1.f0 = obj2 (pin at depth 2)
+		1, 1, 0, 2, // obj1.f0 = obj2 (promote from depth 2)
 		2, 2, 7, 0, // obj2.payload = ...
-		7, 0, 0, 0, // collect depth-2 leaf, pre-drained
+		7, 0, 0, 0, // collect depth-2 leaf
 		6, 0, 0, 0, // pop-join to depth 1
 		3, 1, 0, 0, // read obj1.f0
-		7, 1, 0, 0, // collect depth-1, gc drain path
+		7, 1, 0, 0, // collect depth-1
 		6, 0, 0, 0, // pop-join to root
 		3, 0, 0, 0, // read obj0.f0
 		7, 0, 0, 0, // collect root
@@ -620,10 +590,10 @@ func seedDeepChurn() []byte {
 
 // seedAllocIn: objects born in ancestor heaps at depth 2 and 3 — an
 // alloc-in published into its anchor (the ancestor fast path), a leaf
-// object written into a born-in-place cell (promote / pin), a collection
-// of the leaf that must leave born-in-place objects alone, an alloc-in
-// whose anchor the universes hold at different depths, then a pop-join
-// and an abort of the level that object is homed at.
+// object written into a born-in-place cell (promotes), a collection of the
+// leaf that must leave born-in-place objects alone, an alloc-in anchored
+// at a promoted object, then a pop-join and an abort of the level that
+// object is homed at.
 func seedAllocIn() []byte {
 	return []byte{
 		0, 1, 0, 0, // alloc obj0 (root)
@@ -635,16 +605,16 @@ func seedAllocIn() []byte {
 		1, 0, 0, 3, // obj0.f0 = obj3 (write into the anchor: no promotion)
 		0, 5, 0xA1, 1, // alloc-in obj4 in obj1's heap (depth 1)
 		1, 1, 0, 4, // obj1.f0 = obj4
-		1, 4, 1, 2, // obj4.f1 = obj2 (leaf into a born-in-place cell: promote / pin)
-		7, 1, 0, 0, // collect the depth-2 leaf, gc drain path
+		1, 4, 1, 2, // obj4.f1 = obj2 (leaf into a born-in-place cell: promote)
+		7, 1, 0, 0, // collect the depth-2 leaf
 		3, 0, 0, 0, // read obj0.f0
 		3, 4, 1, 0, // read obj4.f1
 		5, 0, 0, 0, // push (depth 3)
-		0, 6, 0xA1, 2, // alloc-in obj5 at obj2's master: depth 1 eager, depth 2 deferred
+		0, 6, 0xA1, 2, // alloc-in obj5 at obj2's master (depth 1)
 		1, 2, 0, 5, // obj2.f0 = obj5
-		7, 0, 0, 0, // collect the depth-3 leaf, pre-drained
+		7, 0, 0, 0, // collect the depth-3 leaf
 		6, 0, 0, 0, // pop-join depth 3
-		6, 0xAB, 0, 0, // ABORT depth 2: obj2 and obj5 drop from the registry
+		6, 0xAB, 0, 0, // ABORT depth 2: obj2 drops from the registry
 		3, 3, 1, 0, // read obj4.f1 (obj2 survives through it)
 		6, 0, 0, 0, // pop-join depth 1
 		7, 0, 0, 0, // collect root

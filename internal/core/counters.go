@@ -22,7 +22,6 @@ type Counters struct {
 	WritePtrAncestor int64 // optimistic ancestor-pointee writes (no FindMaster lock)
 	WritePtrNonProm  int64 // non-promoting writes that went through FindMaster
 	WritePtrProm     int64 // pointer writes that triggered promotion
-	WritePtrPinned   int64 // deferred-mode down-pointer writes that pinned instead of promoting
 
 	CASFast int64 // compare-and-swap on unforwarded objects
 	CASSlow int64 // compare-and-swap redirected to a master copy
@@ -34,17 +33,6 @@ type Counters struct {
 	ClimbLockedHeaps  int64 // heaps write-locked across all climbs
 	PromoteNanos      int64 // wall time inside promotion climbs (lock + copy + store); a 1-in-climbSample estimate unless tracing
 	FindMasterRetries int64 // double-checked locking retries
-
-	// Deferred-promotion outcomes (WritePtrDeferred and the drains). A pin
-	// (WritePtrPinned) is resolved exactly once: by a drain here, by a join
-	// elision / wholesale drop / collector resolution counted in package
-	// heap's globals — or not yet (live). Zone collections re-pin surviving
-	// entries, so these drain counters move only at release sweeps, second
-	// touches, and explicit DrainRemembered calls.
-	DeferredSecondTouch   int64 // pinned pointees promoted eagerly by a second, distinct-slot touch
-	DeferredRefresh       int64 // same-slot re-writes of a pinned pointee: no new entry, no copy
-	DeferredDrainPromoted int64 // entries promoted (or slot-repaired) by a drain
-	DeferredDrainDied     int64 // entries dead at drain: slot overwritten, or subtree dying
 }
 
 // Add accumulates o into c.
@@ -62,7 +50,6 @@ func (c *Counters) Add(o *Counters) {
 	c.WritePtrAncestor += o.WritePtrAncestor
 	c.WritePtrNonProm += o.WritePtrNonProm
 	c.WritePtrProm += o.WritePtrProm
-	c.WritePtrPinned += o.WritePtrPinned
 	c.CASFast += o.CASFast
 	c.CASSlow += o.CASSlow
 	c.Promotions += o.Promotions
@@ -72,10 +59,6 @@ func (c *Counters) Add(o *Counters) {
 	c.ClimbLockedHeaps += o.ClimbLockedHeaps
 	c.PromoteNanos += o.PromoteNanos
 	c.FindMasterRetries += o.FindMasterRetries
-	c.DeferredSecondTouch += o.DeferredSecondTouch
-	c.DeferredRefresh += o.DeferredRefresh
-	c.DeferredDrainPromoted += o.DeferredDrainPromoted
-	c.DeferredDrainDied += o.DeferredDrainDied
 }
 
 // PromotedBytes reports the bytes copied by promotions.
@@ -84,7 +67,7 @@ func (c *Counters) PromotedBytes() int64 { return c.PromotedWords * 8 }
 // PtrWrites reports the total number of mutable pointer writes, across
 // every barrier class.
 func (c *Counters) PtrWrites() int64 {
-	return c.WritePtrFast + c.WritePtrAncestor + c.WritePtrNonProm + c.WritePtrProm + c.WritePtrPinned
+	return c.WritePtrFast + c.WritePtrAncestor + c.WritePtrNonProm + c.WritePtrProm
 }
 
 // BarrierFastRate reports the fraction of mutable pointer writes that
@@ -124,7 +107,7 @@ func (c *Counters) Representative() string {
 		{"local non-pointer writes", c.WriteNonptrLocal},
 		{"local non-promoting writes", c.WritePtrFast},
 		{"distant non-pointer writes", c.WriteNonptrDistant + c.WriteNonptrSlow + c.CASFast + c.CASSlow},
-		{"distant non-promoting writes", c.WritePtrAncestor + c.WritePtrNonProm + c.WritePtrPinned},
+		{"distant non-promoting writes", c.WritePtrAncestor + c.WritePtrNonProm},
 		{"distant promoting writes", c.WritePtrProm},
 	}
 	var total int64

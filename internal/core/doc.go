@@ -37,6 +37,11 @@
 //     holds the locks (WritePtrSlow). Each climb promotes one pointee; the
 //     task's PromoteBuf holds the climb's reusable scratch.
 //
+// Promotion is always eager, as in the paper's Figure 7: no write leaves a
+// down-pointer behind for later repair. Pointer writes have two entry
+// points, WritePtr (both fast paths, then the climb) and WritePtrSlow (the
+// paper-faithful baseline without them); both promote to the same depth.
+//
 // Promotion vs. in-flight collection: zone collections (package gc) run
 // concurrently with these operations. The two machineries never meet on an
 // object — a promotion only touches heaps on its own task's root path,

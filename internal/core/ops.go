@@ -20,6 +20,20 @@ func Alloc(cc *mem.ChunkCache, cur *heap.Heap, ops *Counters, numPtr, numNonptr 
 // higher right after the walk; it never moves it lower.
 func MasterHeap(p mem.ObjPtr) *heap.Heap { return heap.Of(chaseFwd(p)) }
 
+// chaseFwd follows p's (permanent) forwarding chain to the master copy.
+func chaseFwd(p mem.ObjPtr) mem.ObjPtr {
+	if p.IsNil() {
+		return p
+	}
+	for {
+		f := mem.LoadFwd(p)
+		if f.IsNil() {
+			return p
+		}
+		p = f
+	}
+}
+
 // AllocIn allocates a fresh object in target, a heap shared with other
 // tasks, under target's WRITE lock: the lock a promotion into target takes
 // to allocate its copies, so the two never share target's bump pointer.

@@ -121,85 +121,6 @@ func (c *Collector) copyObj(q mem.ObjPtr) mem.ObjPtr {
 	}
 }
 
-// drainRemembered treats the zone heaps' remembered entries (deferred
-// promotion, heap/remset.go) as extra roots: a pinned pointee is live as
-// long as its remembered slot still holds the down-pointer, even though
-// no shadow-stack root reaches it. Each surviving entry's pointee is
-// copied into to-space, its slot repaired, and the entry reinstalled with
-// the new pointer; entries whose slot was overwritten (or was itself
-// in-zone garbage) are dropped, and entries whose pointee ends up at or
-// above the slot's depth are resolved — the pin is over.
-//
-// Surviving entries are deliberately NOT promoted: the pointee is
-// evacuated within its own heap and stays pinned, so a collection never
-// forces the upward copy the deferral exists to avoid. Promotion happens
-// only at a second touch (core.WritePtrDeferred) or when a release sweep
-// finds the slot outliving the subtree (core.DrainForRelease); this pass
-// is what lets an object ride out any number of zone collections in its
-// leaf heap and still die there for free.
-func (c *Collector) drainRemembered() {
-	for _, h := range c.zone {
-		entries := h.TakeRemembered()
-		if len(entries) == 0 {
-			continue
-		}
-		kept := entries[:0]
-		resolved := int64(0)
-		for i := range entries {
-			e := entries[i]
-			slot := chaseFwd(e.Slot)
-			if sh := heap.Of(slot); !sh.IsTo() {
-				if _, inZone := c.toSpace[sh]; inZone {
-					// The slot lies in the zone and was not reached from the
-					// roots: it is garbage, and the pin dies with it.
-					resolved++
-					continue
-				}
-			}
-			if mem.LoadPtrFieldAtomic(slot, e.Field) != e.Ptr {
-				resolved++ // slot moved on since the pin; nothing to keep alive
-				continue
-			}
-			moved := c.copyObj(e.Ptr)
-			c.drain()
-			if moved != e.Ptr {
-				mem.StorePtrFieldAtomic(slot, e.Field, moved)
-			}
-			if heap.Of(slot).Depth() >= heap.Of(moved).Depth() {
-				resolved++ // pointee ended at or above the slot: entanglement over
-				continue
-			}
-			e.Slot, e.Ptr = slot, moved
-			if owner := heap.Of(moved); owner != h && owner != c.toSpace[h] {
-				// The pointee was dragged out of the zone by an earlier
-				// transitive promotion (it rode along in another object's
-				// copied subgraph) and this heap no longer owns its master:
-				// re-file the pin where the object now lives, or the owner's
-				// own collections would never see it as a root. The slot was
-				// repaired to the master above, so nothing dangles either way.
-				owner.RefilePin(e)
-				continue
-			}
-			kept = append(kept, e)
-		}
-		if resolved > 0 {
-			heap.NoteRemGCResolved(resolved)
-		}
-		h.ReinstallRemembered(kept)
-	}
-}
-
-// chaseFwd follows a (permanent) forwarding chain to the master copy.
-func chaseFwd(p mem.ObjPtr) mem.ObjPtr {
-	for {
-		f := mem.LoadFwd(p)
-		if f.IsNil() {
-			return p
-		}
-		p = f
-	}
-}
-
 // drain scans copied objects, relocating their pointer fields.
 func (c *Collector) drain() {
 	for len(c.scan) > 0 {
@@ -248,6 +169,5 @@ func CollectWith(cc *mem.ChunkCache, zone []*heap.Heap, roots []*mem.ObjPtr) Sta
 	for _, r := range roots {
 		c.CopyRoot(r)
 	}
-	c.drainRemembered()
 	return c.Finish()
 }

@@ -42,6 +42,12 @@
 // joins it, both constant-time operations, so the common no-steal case
 // stays cheap.
 //
+// A heap records nothing about the pointers into it. The write barrier
+// promotes eagerly, so the hierarchy stays disentangled between writes: a
+// collection's roots are the collecting task's own, Join splices chunk
+// lists and nothing else, and ReleaseWholesale frees a subtree without
+// looking inside it.
+//
 // Chunk movement goes through the recycling allocator (package mem):
 // grow/FreshObjVia acquire through the calling worker's ChunkCache, and
 // RecycleChunkList / ReleaseWholesale hand completed heaps' chunks back to

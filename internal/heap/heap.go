@@ -38,11 +38,7 @@ type Heap struct {
 	// attach here so shutdown can find abandoned ones. Lazily installed on
 	// first attach; nil for every heap that never had a child attached.
 	childReg atomic.Pointer[childRegistry]
-
-	// Remembered set for deferred promotion (remset.go): down-pointers into
-	// this heap whose pointees are pinned in place instead of eagerly
-	// promoted. Lazily installed; nil for every heap that never pinned.
-	rem atomic.Pointer[remSet]
+	_        uint64
 
 	LiveWords int64 // GC policy input: live estimate from the last collection
 
@@ -156,10 +152,6 @@ func Join(parent, child *Heap) {
 	parent.AllocSinceGC += child.AllocSinceGC
 	parent.LiveWords += child.LiveWords
 	child.head, child.tail, child.nChunks = nil, nil, 0
-	// Deferred-promotion entries pinned in the child follow its objects to
-	// the parent; those whose slot is no longer strictly shallower are
-	// elided — the join dissolved the entanglement (remset.go).
-	migrateRemembered(parent, child)
 	child.merged.Store(parent)
 }
 

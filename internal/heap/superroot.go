@@ -161,11 +161,6 @@ func ReleaseWholesale(cc *mem.ChunkCache, parent, child *Heap) int64 {
 		panic("heap: wholesale release of a to-space")
 	}
 	bytes := child.CapWords() * 8
-	// Deferred-promotion pins die with the subtree: drop the remembered set
-	// BEFORE the chunks, so no window exists in which an entry references a
-	// recycled chunk (the invariant checker would trip on it). The runtime's
-	// session path has already swept the set (core.DrainForRelease).
-	dropRememberedOnRelease(child)
 	RecycleChunkList(cc, child.TakeChunks())
 	child.AllocSinceGC, child.LiveWords = 0, 0
 	child.merged.Store(parent)

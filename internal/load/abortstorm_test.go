@@ -13,10 +13,7 @@ import (
 // store pre-locked, so every transaction stages its managed state, fails
 // validation, and unwinds through Task.Abort — for several rounds, and
 // asserts the rollback really is wholesale: chunk occupancy returns to
-// the pre-storm baseline after every round's drain, and with deferred
-// promotion enabled the PR 9 pin-balance identity holds (every pin the
-// staging writes created was resolved by the abort path's release sweep,
-// none left live pinning a dead session's chunks).
+// the pre-storm baseline after every round's drain.
 func TestAbortStormNoLeak(t *testing.T) {
 	const (
 		rounds   = 4
@@ -24,74 +21,58 @@ func TestAbortStormNoLeak(t *testing.T) {
 		clients  = 6
 		size     = 400
 	)
-	for _, cfg := range []struct {
-		label string
-		opts  []hh.Option
-	}{
-		{"parmem", nil},
-		{"parmem+deferred", []hh.Option{hh.WithDeferredPromotion()}},
-	} {
-		t.Run(cfg.label, func(t *testing.T) {
-			opts := append([]hh.Option{hh.WithMode(hh.ParMem), hh.WithProcs(4),
-				hh.WithGCPolicy(2048, 1.25), hh.WithInvariantChecks()}, cfg.opts...)
-			r := hh.New(opts...)
-			defer r.Close()
-			base := hh.ChunksInUse()
-			srv := serve.New(r, serve.WithMaxInFlight(clients), serve.WithQueueDepth(2*clients))
+	t.Run("parmem", func(t *testing.T) {
+		r := hh.New(hh.WithMode(hh.ParMem), hh.WithProcs(4),
+			hh.WithGCPolicy(2048, 1.25), hh.WithInvariantChecks())
+		defer r.Close()
+		base := hh.ChunksInUse()
+		srv := serve.New(r, serve.WithMaxInFlight(clients), serve.WithQueueDepth(2*clients))
 
-			store := newTxnStore(8)
-			store.forceConflict.Store(true) // 100% conflict: every validation fails
-			var aborts int
-			for round := 0; round < rounds; round++ {
-				tickets := make([]*serve.Ticket, 0, perRound)
-				for i := 0; i < perRound; i++ {
-					seed := uint64(round*perRound+i) + 1
-					for {
-						tk, err := srv.Submit(func(task *hh.Task) uint64 {
-							return store.Run(task, seed, size)
-						})
-						if err == nil {
-							tickets = append(tickets, tk)
-							break
-						}
-						if !errors.Is(err, serve.ErrSaturated) {
-							t.Fatal(err)
-						}
-						// Saturated: wait out the oldest in-flight abort.
-						if len(tickets) > 0 {
-							tickets[0].Wait()
-						}
+		store := newTxnStore(8)
+		store.forceConflict.Store(true) // 100% conflict: every validation fails
+		var aborts int
+		for round := 0; round < rounds; round++ {
+			tickets := make([]*serve.Ticket, 0, perRound)
+			for i := 0; i < perRound; i++ {
+				seed := uint64(round*perRound+i) + 1
+				for {
+					tk, err := srv.Submit(func(task *hh.Task) uint64 {
+						return store.Run(task, seed, size)
+					})
+					if err == nil {
+						tickets = append(tickets, tk)
+						break
+					}
+					if !errors.Is(err, serve.ErrSaturated) {
+						t.Fatal(err)
+					}
+					// Saturated: wait out the oldest in-flight abort.
+					if len(tickets) > 0 {
+						tickets[0].Wait()
 					}
 				}
-				for _, tk := range tickets {
-					_, err := tk.Wait()
-					var ab *hh.AbortError
-					if !errors.As(err, &ab) {
-						t.Fatalf("round %d: storm request returned %v, want *hh.AbortError", round, err)
-					}
-					aborts++
+			}
+			for _, tk := range tickets {
+				_, err := tk.Wait()
+				var ab *hh.AbortError
+				if !errors.As(err, &ab) {
+					t.Fatalf("round %d: storm request returned %v, want *hh.AbortError", round, err)
 				}
-				srv.Drain()
-				if got := hh.ChunksInUse(); got != base {
-					t.Fatalf("round %d: %d chunks in use after drain, want baseline %d — abort leaked",
-						round, got, base)
-				}
+				aborts++
 			}
-			if aborts != rounds*perRound {
-				t.Fatalf("%d aborts, want %d", aborts, rounds*perRound)
+			srv.Drain()
+			if got := hh.ChunksInUse(); got != base {
+				t.Fatalf("round %d: %d chunks in use after drain, want baseline %d — abort leaked",
+					round, got, base)
 			}
-			if store.Committed() != 0 {
-				t.Fatalf("%d commits slipped through a fully locked store", store.Committed())
-			}
-			if d := r.Stats().Deferred; d.Pins > 0 {
-				if !d.Balanced() || d.Live != 0 {
-					t.Fatalf("pin accounting does not balance after the storm: %+v", d)
-				}
-			} else if len(cfg.opts) > 0 {
-				t.Error("deferred run recorded no pins; the staging writes should pin")
-			}
-		})
-	}
+		}
+		if aborts != rounds*perRound {
+			t.Fatalf("%d aborts, want %d", aborts, rounds*perRound)
+		}
+		if store.Committed() != 0 {
+			t.Fatalf("%d commits slipped through a fully locked store", store.Committed())
+		}
+	})
 }
 
 // TestDriveRetriesConflicts checks the closed loop's retry path end to

@@ -124,24 +124,14 @@ func TestScenariosDeterministicAcrossModes(t *testing.T) {
 }
 
 // TestAllocInScenariosAgreeAcrossModes replays the born-in-place
-// scenarios (kv, bfs, fan, stream) in all four modes and with the deferred
-// barrier, at P=2 and P=8, and checks one checksum per request throughout.
-// In ParMem their records are born in the heap they are published to, so
-// with either barrier nothing may promote or pin.
+// scenarios (kv, bfs, fan, stream) in all four modes at P=2 and P=8, and
+// checks one checksum per request throughout. In ParMem their records are
+// born in the heap they are published to, so nothing may promote.
 func TestAllocInScenariosAgreeAcrossModes(t *testing.T) {
-	type leg struct {
-		mode     hh.Mode
-		deferred bool
-	}
-	legs := []leg{{hh.ParMem, false}, {hh.ParMem, true}, {hh.STW, false}, {hh.Seq, false}, {hh.Manticore, false}}
 	want := map[string]uint64{}
 	for _, procs := range []int{2, 8} {
-		for _, lg := range legs {
-			opts := []hh.Option{hh.WithMode(lg.mode), hh.WithProcs(procs), hh.WithGCPolicy(2048, 1.25), hh.WithInvariantChecks()}
-			if lg.deferred {
-				opts = append(opts, hh.WithDeferredPromotion())
-			}
-			r := hh.New(opts...)
+		for _, mode := range hh.Modes {
+			r := hh.New(hh.WithMode(mode), hh.WithProcs(procs), hh.WithGCPolicy(2048, 1.25), hh.WithInvariantChecks())
 			for _, name := range []string{"kv", "bfs", "fan", "stream"} {
 				sc, _ := ByName(name)
 				for seed := uint64(1); seed <= 3; seed++ {
@@ -149,18 +139,18 @@ func TestAllocInScenariosAgreeAcrossModes(t *testing.T) {
 						return sc.Run(task, seed, 640)
 					}).Wait()
 					if err != nil {
-						t.Fatalf("%s deferred=%v P=%d %s seed %d: %v", lg.mode, lg.deferred, procs, name, seed, err)
+						t.Fatalf("%s P=%d %s seed %d: %v", mode, procs, name, seed, err)
 					}
 					k := fmt.Sprintf("%s/%d", name, seed)
 					if w, seen := want[k]; !seen {
 						want[k] = got
 					} else if got != w {
-						t.Errorf("%s deferred=%v P=%d %s: checksum %x, want %x", lg.mode, lg.deferred, procs, k, got, w)
+						t.Errorf("%s P=%d %s: checksum %x, want %x", mode, procs, k, got, w)
 					}
 				}
 			}
-			if ops := r.Stats().Ops; lg.mode == hh.ParMem && (ops.Promotions != 0 || ops.WritePtrPinned != 0) {
-				t.Errorf("ParMem deferred=%v P=%d: %d promotions, %d pins; want none", lg.deferred, procs, ops.Promotions, ops.WritePtrPinned)
+			if p := r.Stats().Ops.Promotions; mode == hh.ParMem && p != 0 {
+				t.Errorf("ParMem P=%d: %d promotions; want none", procs, p)
 			}
 			r.Close()
 		}

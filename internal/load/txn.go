@@ -208,7 +208,7 @@ func (s *txnStore) Run(t *hh.Task, seed uint64, size int) uint64 {
 		// Stage the write intents in managed memory: a session-shared
 		// directory of records, each carrying its key, value, and scratch
 		// words — the bytes an abort rolls back wholesale. The publish into
-		// the directory is a promoting (or, deferred, pinning) write. This
+		// the directory is a promoting write. This
 		// is the transaction's "work", and it all happens inside the
 		// optimistic window.
 		dir := sc.Ref(t.AllocMut(txnWrites, 0, hh.TagArrPtr))

@@ -104,22 +104,6 @@ func GetChunk(id uint32) *Chunk {
 	return c
 }
 
-// LookupChunk resolves a chunk ID without the dangling-ID panic: it
-// returns nil for ID 0 and for IDs whose chunk has been freed or
-// recycled. Invariant checkers use it to ask "is this chunk still
-// registered?" — a pinned object whose chunk fails the lookup is exactly
-// the reclaimed-while-pinned bug GetChunk would panic on.
-func LookupChunk(id uint32) *Chunk {
-	if id == 0 {
-		return nil
-	}
-	seg := chunkDir[id>>dirSegBits].Load()
-	if seg == nil {
-		return nil
-	}
-	return seg[id&(dirSegSize-1)].Load()
-}
-
 // NewChunk allocates and registers a chunk with the given payload capacity
 // in words, rounded up to MinChunkWords. This is the fresh-allocation path:
 // it takes a new directory ID under idMu. Hot callers go through

@@ -63,63 +63,55 @@ func TestAllocInBornInAnchorMasterHeap(t *testing.T) {
 
 // TestAllocInAbortReturnsToBaseline aborts sessions whose forked arms
 // built chains of born-in-place cells in the session heap, each cell also
-// holding an arm-local object (a promotion, or a pin in the deferred
-// barrier), while a sibling arm churns through leaf collections. Wholesale
-// reclamation must return chunk occupancy and pin accounting to baseline.
+// holding an arm-local object (a promotion), while a sibling arm churns.
+// Wholesale reclamation must return chunk occupancy to baseline.
 func TestAllocInAbortReturnsToBaseline(t *testing.T) {
 	errConflict := errors.New("conflict")
-	for _, deferred := range []bool{false, true} {
-		for _, procs := range []int{2, 8} {
-			t.Run(fmt.Sprintf("deferred=%v/procs=%d", deferred, procs), func(t *testing.T) {
-				cfg := testConfig(ParMem, procs)
-				cfg.DeferredPromotion = deferred
-				cfg.CheckInvariants = true
-				r := New(cfg)
-				defer r.Close()
-				base := mem.ChunksInUse()
+	for _, procs := range []int{2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			cfg := testConfig(ParMem, procs)
+			cfg.CheckInvariants = true
+			r := New(cfg)
+			defer r.Close()
+			base := mem.ChunksInUse()
 
-				const nSessions = 8
-				sessions := make([]*Session, nSessions)
-				for i := range sessions {
-					sessions[i] = r.Submit(SessionOpts{}, func(task *Task) uint64 {
-						arr := task.AllocMut(4, 0, mem.TagTuple)
-						mark := task.PushRoot(&arr)
-						defer task.PopRoots(mark)
-						task.ForkJoinScalar(arr,
-							func(tk *Task, _ mem.ObjPtr) uint64 {
-								for j := 0; j < 64; j++ {
-									cell := tk.AllocIn(arr, 2, 1, mem.TagCons)
-									tk.WriteInitWord(cell, 0, uint64(j))
-									tk.WriteInitPtr(cell, 0, tk.ReadMutPtr(arr, j%4))
-									tk.WritePtr(arr, j%4, cell)
-									leaf := tk.Alloc(0, 1, mem.TagRef)
-									tk.WritePtr(tk.ReadMutPtr(arr, j%4), 1, leaf)
-								}
-								tk.Abort(1, errConflict)
-								return 0
-							},
-							func(tk *Task, _ mem.ObjPtr) uint64 { return buildChurn(tk, 3000) })
-						return 0
-					})
+			const nSessions = 8
+			sessions := make([]*Session, nSessions)
+			for i := range sessions {
+				sessions[i] = r.Submit(SessionOpts{}, func(task *Task) uint64 {
+					arr := task.AllocMut(4, 0, mem.TagTuple)
+					mark := task.PushRoot(&arr)
+					defer task.PopRoots(mark)
+					task.ForkJoinScalar(arr,
+						func(tk *Task, _ mem.ObjPtr) uint64 {
+							for j := 0; j < 64; j++ {
+								cell := tk.AllocIn(arr, 2, 1, mem.TagCons)
+								tk.WriteInitWord(cell, 0, uint64(j))
+								tk.WriteInitPtr(cell, 0, tk.ReadMutPtr(arr, j%4))
+								tk.WritePtr(arr, j%4, cell)
+								leaf := tk.Alloc(0, 1, mem.TagRef)
+								tk.WritePtr(tk.ReadMutPtr(arr, j%4), 1, leaf)
+							}
+							tk.Abort(1, errConflict)
+							return 0
+						},
+						func(tk *Task, _ mem.ObjPtr) uint64 { return buildChurn(tk, 3000) })
+					return 0
+				})
+			}
+			for i, s := range sessions {
+				var ae *AbortError
+				if _, err := s.Wait(); !errors.As(err, &ae) || ae.Reason != errConflict {
+					t.Fatalf("session %d: err = %v, want AbortError{%v}", i, err, errConflict)
 				}
-				for i, s := range sessions {
-					var ae *AbortError
-					if _, err := s.Wait(); !errors.As(err, &ae) || ae.Reason != errConflict {
-						t.Fatalf("session %d: err = %v, want AbortError{%v}", i, err, errConflict)
-					}
-				}
-				if got := mem.ChunksInUse(); got != base {
-					t.Fatalf("chunks in use after aborts = %d, want baseline %d", got, base)
-				}
-				st := r.Stats()
-				if deferred && st.Deferred.Pins == 0 {
-					t.Fatal("no pins: the arm-local writes into born-in-place cells should pin")
-				}
-				if d := st.Deferred; d.Live != 0 || !d.Balanced() {
-					t.Fatalf("pin accounting after aborts: %+v", d)
-				}
-			})
-		}
+			}
+			if got := mem.ChunksInUse(); got != base {
+				t.Fatalf("chunks in use after aborts = %d, want baseline %d", got, base)
+			}
+			if p := r.Stats().Ops.Promotions; p == 0 {
+				t.Fatal("no promotions: the arm-local writes into born-in-place cells should promote")
+			}
+		})
 	}
 }
 

@@ -61,23 +61,11 @@ type Config struct {
 	// BenchmarkAblationWritePtrFastPath).
 	NoBarrierFastPath bool
 
-	// DeferredPromotion switches the ParMem write barrier from the paper's
-	// eager transitive promotion to lazy pin-and-remember
-	// (core.WritePtrDeferred): an ancestor→descendant pointer write records
-	// a remembered-set entry on the pointee's heap instead of copying its
-	// subtree; the pointee is promoted on a second cross-heap touch or at
-	// the next zone collection of its heap, and dies uncopied if its
-	// subtree is reclaimed wholesale first. Ignored outside ParMem mode
-	// (Seq never promotes; Manticore's promote-on-communication and STW's
-	// barrier-free writes are different designs).
-	DeferredPromotion bool
-
-	// CheckInvariants runs the remembered-set invariant walker
-	// (heap.CheckInvariants) after every zone collection and at session
-	// reclaim, panicking on the first violation, and in ParMem checks that
-	// every WriteInitPtr stores a value from the object's heap or an
-	// ancestor. Debug knob for tests; the walk is O(remembered entries)
-	// per collection.
+	// CheckInvariants makes every ParMem WriteInitPtr check that the stored
+	// value lives in the object's heap or an ancestor, panicking on a store
+	// that would entangle the hierarchy. It has no effect in other modes.
+	// Debug knob for tests: the check is one heap lookup and a depth compare
+	// per initializing pointer write.
 	CheckInvariants bool
 
 	// TraceBufEvents enables the flight recorder (internal/trace) with one

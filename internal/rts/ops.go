@@ -148,10 +148,6 @@ func (t *Task) CASWord(p mem.ObjPtr, i int, old, new uint64) bool {
 func (t *Task) WritePtr(p mem.ObjPtr, i int, q mem.ObjPtr) {
 	switch t.rt.cfg.Mode {
 	case ParMem:
-		if t.rt.cfg.DeferredPromotion {
-			core.WritePtrDeferred(t.chunkCache(), t.sh.Current(), &t.pbuf, &t.Ops, p, i, q)
-			return
-		}
 		if t.rt.cfg.NoBarrierFastPath {
 			core.WritePtrSlow(t.chunkCache(), &t.pbuf, &t.Ops, p, i, q)
 			return

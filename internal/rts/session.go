@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/mem"
 	"repro/internal/sched"
@@ -368,29 +367,6 @@ func (s *Session) reclaim(w *sched.Worker, res uint64) {
 
 	if s.heap != nil {
 		pinJoin := s.pin && err == nil && s.heap.IsAlive()
-		if r.cfg.DeferredPromotion && !pinJoin {
-			// Deferred promotion's release-time sweep, covering the abort
-			// path too: every remembered entry of EVERY session heap is
-			// resolved before the first chunk is recycled. Entries whose
-			// slot dies with the subtree are dropped (the pinned objects
-			// were never copied — the deferral's payoff); entries whose
-			// slot lives on above the session base promote out now, so no
-			// surviving slot is left pointing into released chunks. Pinned
-			// sessions skip this: their Join migrates or elides the
-			// entries instead. The sweep's counters merge into the totals
-			// stripe and its climb time into the session's barrier
-			// attribution, like any task's.
-			var dops core.Counters
-			var dbuf core.PromoteBuf
-			core.DrainForRelease(cc, &dbuf, &dops, s.heap.Depth(), heaps)
-			if dops != (core.Counters{}) {
-				sh := r.totalsShardFor(w)
-				sh.mu.Lock()
-				sh.ops.Add(&dops)
-				sh.mu.Unlock()
-				s.barrierAttrNanos.Add(dops.PromoteNanos)
-			}
-		}
 		r.rootHeap.DetachChild(s.heap)
 		if pinJoin {
 			// Pinned: splice the subtree's chunks into the super-root in
@@ -411,11 +387,6 @@ func (s *Session) reclaim(w *sched.Worker, res uint64) {
 			freed += heap.ReleaseWholesale(cc, r.rootHeap, h)
 		}
 		s.wholesaleBytes = freed
-		if r.cfg.CheckInvariants {
-			if ierr := heap.CheckInvariants(append(heaps, r.rootHeap)...); ierr != nil {
-				panic(ierr)
-			}
-		}
 	}
 
 	s.res, s.err = res, err

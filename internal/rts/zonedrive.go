@@ -42,14 +42,6 @@ import (
 // collected concurrently (the serving layer's cross-request GC
 // concurrency).
 func (t *Task) collectZone(zone []*heap.Heap, kind gc.ZoneKind) {
-	// Deferred promotion needs no pre-collection work here: the collector's
-	// remembered pass (gc.Collector.drainRemembered) treats each zone heap's
-	// entries as extra roots, evacuates still-pinned pointees WITHIN the
-	// zone, repairs their slots, and re-pins — deliberately NOT promoting,
-	// so an object's copies stay in its own heap until a second touch
-	// genuinely shares it or the release sweep finds its slot outliving the
-	// subtree. That in-zone evacuation is ordinary collection work and is
-	// charged to the GC account below, not to the barrier.
 	start := time.Now()
 	var fam uint64
 	if t.ses != nil {
@@ -58,12 +50,6 @@ func (t *Task) collectZone(zone []*heap.Heap, kind gc.ZoneKind) {
 	stats := t.rt.zones.CollectSessionZone(t.chunkCache(), fam, zone, t.roots, kind)
 	t.gcNanos += time.Since(start).Nanoseconds()
 	t.gcStats.Add(stats)
-	if t.rt.cfg.CheckInvariants {
-		checked := append(append([]*heap.Heap{}, zone...), t.rt.rootHeap)
-		if err := heap.CheckInvariants(checked...); err != nil {
-			panic(err)
-		}
-	}
 }
 
 // maybeCollectJoin runs the internal-node collection at a join point: the
