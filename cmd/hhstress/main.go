@@ -23,7 +23,6 @@ func main() {
 	writes := flag.Int("writes", 400, "writes per slot per round")
 	live := flag.Int("live", 1000, "task-local live cells kept across the writes (leaf-zone copy work)")
 	procs := flag.Int("procs", runtime.NumCPU(), "workers")
-	maxZones := flag.Int("max-zones", 0, "cap on concurrent zone collections (0 = one per worker, 1 = serialized ablation)")
 	flag.Parse()
 	// The pool simulates *procs processors; give the Go scheduler as many,
 	// so disjoint zone collections can actually overlap in wall time.
@@ -35,7 +34,6 @@ func main() {
 		hh.WithMode(hh.ParMem),
 		hh.WithProcs(*procs),
 		hh.WithGCPolicy(2048, 1.25),
-		hh.WithMaxConcurrentZones(*maxZones),
 	}
 
 	var peakZones int64

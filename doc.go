@@ -13,8 +13,8 @@
 //
 // The engine lives under internal/: the simulated managed-memory
 // substrate (mem), hierarchical heaps (heap), the paper's promotion
-// algorithms (core), promotion-aware semispace collection with the
-// concurrent zone scheduler (gc), the work-stealing scheduler (sched),
+// algorithms (core), promotion-aware semispace collection of concurrent
+// zones (gc), the work-stealing scheduler (sched),
 // the four runtime systems of the evaluation (rts), the sequence and
 // graph substrates (seq, graph), the 17-benchmark suite (bench), and the
 // table/figure regeneration layer (report). See README.md for a guided

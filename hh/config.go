@@ -72,13 +72,6 @@ func WithGCPolicy(minWords int64, ratio float64) Option {
 	return func(c *rts.Config) { c.Policy = gc.Policy{MinWords: minWords, Ratio: ratio} }
 }
 
-// WithMaxConcurrentZones caps how many zone collections may run at once
-// in the hierarchical modes. 0 means one per processor; 1 serializes all
-// collections (the ablation that measures what concurrency buys).
-func WithMaxConcurrentZones(n int) Option {
-	return func(c *rts.Config) { c.MaxConcurrentZones = n }
-}
-
 // WithSTWTrigger sets the stop-the-world trigger (STW mode): collect when
 // global occupancy exceeds max(floorBytes, ratio × live-after-last-GC).
 func WithSTWTrigger(floorBytes int64, ratio float64) Option {

@@ -47,13 +47,14 @@
 // object — a promotion only touches heaps on its own task's root path,
 // while a collection zone is a heap with no live descendants, which by
 // disentanglement no other task can reference — and never deadlock on a
-// lock: both acquire multi-heap locks bottom-up (deepest first), and a
-// zone is admitted (gc.ZoneScheduler) before any of its locks are taken,
-// so no acquisition ever waits on a heap deeper than one it holds. The
-// zone's write locks exist as a second line of defense: if entanglement
-// ever leaked a pointer into a zone, findMaster's read locks and the
-// promotion path's write locks would serialize against the collection
-// instead of observing objects mid-copy.
+// lock. A climb acquires its locks bottom-up (deepest first), so it only
+// ever waits on a heap shallower than one it holds. A zone collection holds
+// exactly one heap lock, its heap's write lock, and waits for no other
+// heap lock while holding it, so no cycle of waits can pass through it. That write
+// lock is a second line of defense: if entanglement ever leaked a pointer
+// into a zone, findMaster's read locks and the promotion path's write locks
+// would serialize against the collection instead of observing objects
+// mid-copy.
 //
 // All operations count themselves into per-task Counters so the evaluation
 // can report the Figure 8/9 operation taxonomy, the barrier fast/slow mix,

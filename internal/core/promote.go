@@ -72,11 +72,11 @@ func (b *PromoteBuf) track() int { return int(b.trackP1) - 1 }
 // target keeps concurrent findMaster calls from returning until the
 // promotion is complete.
 //
-// Deadlock freedom: all multi-heap acquisitions in the system climb the
-// hierarchy bottom-up — this path, and equally a zone collection's
-// heap.LockZone, which write-locks its (disjointly admitted) zone deepest
-// first — and lock waits therefore only target heaps strictly shallower
-// than any lock held.
+// Deadlock freedom: this path is the only multi-heap acquisition in the
+// system, and it climbs the hierarchy bottom-up, so its lock waits only
+// target heaps strictly shallower than any lock held. A zone collection
+// holds a single heap's write lock and waits for no other heap lock while
+// holding it.
 func (b *PromoteBuf) lockPath(ops *Counters, src *heap.Heap, obj mem.ObjPtr) (mem.ObjPtr, *heap.Heap) {
 	target := heap.Of(obj)
 	b.locked = b.locked[:0]

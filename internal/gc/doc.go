@@ -1,5 +1,5 @@
 // Package gc implements the promotion-aware semispace collection of the
-// paper's Appendix A and the concurrent zone scheduling of §3.4.
+// paper's Appendix A and the concurrent zone collection of §3.4.
 //
 // A collection targets a zone: a heap and (optionally) its live
 // descendants, each of which gets a to-space twin. Objects reachable from
@@ -16,19 +16,19 @@
 //
 // The Collector keeps no package-level state, so collections of disjoint
 // zones are free to run concurrently — with each other and with mutator
-// work outside their zones. The ZoneScheduler turns that freedom into a
-// discipline: it admits a zone only while no in-flight collection holds
-// any of its heaps, enforces the configured concurrency cap, and records
-// how many zones actually overlapped (ZoneStats: counts by kind, peak
-// concurrency, overlap wall time).
+// work outside their zones. Nothing schedules them: a runtime's zone is
+// always one heap that only its owning task collects, so the ZoneRecorder
+// just runs each collection and records how many actually overlapped
+// (ZoneStats: counts by kind, peak concurrency, overlap wall time).
 //
-// Lock ordering: a zone collection write-locks its heaps deepest-first
-// (heap.LockZone) before copying and releases them shallowest-first — the
-// same bottom-up climb the promotion path uses — so collections,
-// promotions, and findMaster readers compose without deadlock. In a
+// Lock ordering: a zone collection holds exactly one heap lock, its heap's
+// write lock, and waits for no other heap lock while holding it. A holder
+// that never waits can never be part of a cycle of lock waits, so
+// collections compose with promotion climbs and findMaster readers without
+// any order to agree on. In a
 // disentangled execution no other task can even reference into a zone
-// (the zone has no live descendants), so the locks are uncontended; they
-// exist to serialize, rather than corrupt, should entanglement ever leak
+// (the zone has no live descendants), so the lock is uncontended; it
+// exists to serialize, rather than corrupt, should entanglement ever leak
 // a pointer inside.
 //
 // The package also provides the collection trigger policy and the

@@ -1,10 +1,7 @@
 package gc
 
 import (
-	"fmt"
-	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/heap"
@@ -12,30 +9,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Concurrent zone scheduling (paper §3.4): disjoint subtrees of the heap
-// hierarchy — zones — may be collected simultaneously with each other and
-// with mutator work. The collector itself (collect.go) is re-entrant: it
-// keeps no package-level state, so any number of Collectors can run at
-// once as long as their zones share no heap. The ZoneScheduler provides
-// that guarantee: it admits a zone only when no in-flight collection holds
-// any of its heaps, caps the number of simultaneous collections, and
-// measures how much concurrency the runtime actually achieved.
-//
-// A collecting task never parks the world. It holds exactly its zone's
-// write locks (heap.LockZone, deepest first), so tasks in other subtrees
-// keep allocating, mutating, promoting, and stealing throughout.
-//
-// Admission is STRIPED: the in-flight heap set is split over stripeCount
-// stripes keyed by heap ID, and admitting a zone locks only the stripes
-// its heaps map to — in ascending stripe order, so any two admissions
-// acquire their common stripes in the same total order and cannot
-// deadlock. Disjoint zones whose heaps land on different stripes admit
-// and release in parallel; before striping every admission serialized on
-// one scheduler-wide mutex even though the zones shared nothing. The
-// admission cap is one atomic reservation, and the statistics that are
-// inherently global (overlap wall-clock spans, distinct-session tracking)
-// live behind a separate short mutex doing constant work per collection —
-// never O(zone heaps).
+// Concurrent zone collection (paper §3.4): a zone is a heap with no live
+// descendants, and zones of different tasks may be collected at the same
+// time as each other and as mutator work. Nothing coordinates them.
+// Disentanglement keeps every other task out of a zone, and each zone is
+// exactly one heap that only its owner collects: a task's current leaf, the
+// merged ancestor after a join, or a Manticore worker's local heap. The
+// collector (collect.go) keeps no package-level state, so each collection
+// needs only its heap's own write lock. The ZoneRecorder measures how much
+// concurrency that buys.
 
 // ZoneKind classifies a zone collection for the statistics.
 type ZoneKind int
@@ -57,7 +39,7 @@ func (k ZoneKind) String() string {
 	return "leaf"
 }
 
-// ZoneStats aggregates a scheduler's lifetime zone-collection behaviour.
+// ZoneStats aggregates a recorder's lifetime zone-collection behaviour.
 type ZoneStats struct {
 	Zones         int64 // zone collections completed
 	LeafZones     int64 // collections of leaf heaps at allocation safe points
@@ -70,337 +52,113 @@ type ZoneStats struct {
 	// Session-family counters (serving layer): zones tagged with a nonzero
 	// family belong to one root-level session subtree. Disjoint sessions
 	// collecting at the same time is the cross-request GC concurrency the
-	// hierarchy buys, so the scheduler measures it directly.
+	// hierarchy buys, so the recorder measures it directly.
 	SessionZones          int64 // completed zone collections tagged with a session
 	MaxConcurrentSessions int64 // peak number of DISTINCT sessions collecting at once
 }
 
-// DefaultZoneStripes is the admission stripe count used when the caller
-// does not choose one. Sixteen stripes keep the chance of two disjoint
-// zones colliding on a stripe low at any plausible worker count while the
-// per-zone stripe set still fits a word.
-const DefaultZoneStripes = 16
-
-// MaxZoneStripes is the hard bound on admission stripes: stripe sets are
-// represented as one 64-bit mask.
-const MaxZoneStripes = 64
-
-// admitStripe is one lock's worth of the in-flight heap set, padded so
-// neighbouring stripes' mutexes do not share a cache line.
-type admitStripe struct {
-	mu     sync.Mutex
-	active map[*heap.Heap]struct{}
-	_      [64]byte
+// ZoneRecorder runs zone collections and accounts for their overlap. One
+// recorder serves one runtime. Its mutex guards only the statistics and
+// does constant work per collection; it is never held while copying.
+type ZoneRecorder struct {
+	statsMu  sync.Mutex
+	active   int            // zones in flight
+	families map[uint64]int // in-flight zone count per session family
+	overlap  time.Time      // start of the current >=2-zone span
+	stats    ZoneStats
 }
 
-// ZoneScheduler admits disjoint zone collections and accounts for their
-// overlap. One scheduler serves one runtime.
-type ZoneScheduler struct {
-	maxZones int  // admission cap; <= 0 means unlimited
-	shift    uint // 64 - log2(len(stripes)), for the multiplicative hash
-	stripes  []admitStripe
-
-	nActive atomic.Int64 // in-flight zone count (cap reservation + gauge)
-
-	// Waiter wakeup. A failed admission registers in waiters, re-checks
-	// (so a release that ran in between is not missed), then sleeps until
-	// the generation counter moves. Releases bump the generation only when
-	// waiters is nonzero, so the uncontended release path never touches
-	// waitMu.
-	waitMu  sync.Mutex
-	waitGen uint64
-	cond    *sync.Cond
-	waiters atomic.Int32
-
-	// Inherently global statistics: wall-clock overlap spans and
-	// distinct-session tracking need a serialized view of zone-count
-	// transitions, and the completed-zone counters are cheapest batched
-	// under the same short lock. Constant work per collection.
-	statsMu   sync.Mutex
-	curActive int            // mirror of in-flight count for span transitions
-	families  map[uint64]int // in-flight zone count per session family
-	overlap   time.Time      // start of the current >=2-zone span
-	stats     ZoneStats
+// NewZoneRecorder returns an empty recorder.
+func NewZoneRecorder() *ZoneRecorder {
+	return &ZoneRecorder{families: make(map[uint64]int)}
 }
 
-// NewZoneScheduler creates a scheduler admitting at most maxConcurrent
-// zones at once (<= 0 for no cap beyond disjointness), with the default
-// admission stripe count.
-func NewZoneScheduler(maxConcurrent int) *ZoneScheduler {
-	return NewZoneSchedulerWithStripes(maxConcurrent, DefaultZoneStripes)
-}
-
-// NewZoneSchedulerWithStripes creates a scheduler with an explicit
-// admission stripe count, rounded up to a power of two and clamped to
-// [1, MaxZoneStripes]. One stripe reproduces the pre-striping scheduler's
-// fully serialized admission (useful for deterministic tests).
-func NewZoneSchedulerWithStripes(maxConcurrent, stripes int) *ZoneScheduler {
-	if stripes < 1 {
-		stripes = 1
-	}
-	if stripes > MaxZoneStripes {
-		stripes = MaxZoneStripes
-	}
-	n := 1
-	for n < stripes {
-		n <<= 1
-	}
-	s := &ZoneScheduler{
-		maxZones: maxConcurrent,
-		shift:    uint(64 - bits.TrailingZeros(uint(n))),
-		stripes:  make([]admitStripe, n),
-		families: make(map[uint64]int),
-	}
-	if n == 1 {
-		s.shift = 64
-	}
-	for i := range s.stripes {
-		s.stripes[i].active = make(map[*heap.Heap]struct{})
-	}
-	s.cond = sync.NewCond(&s.waitMu)
-	return s
-}
-
-// Stripes returns the scheduler's admission stripe count.
-func (s *ZoneScheduler) Stripes() int { return len(s.stripes) }
-
-// stripeFor maps a heap to its admission stripe. Heap IDs are sequential,
-// so a multiplicative (Fibonacci) hash spreads consecutive IDs — which are
-// exactly the heaps a burst of sibling tasks creates — across stripes.
-func (s *ZoneScheduler) stripeFor(h *heap.Heap) int {
-	if s.shift >= 64 {
-		return 0
-	}
-	return int((h.ID() * 0x9E3779B97F4A7C15) >> s.shift)
-}
-
-// stripeSet returns the zone's stripes as a bitmask; iterating its set
-// bits from least significant up IS the ascending lock order.
-func (s *ZoneScheduler) stripeSet(zone []*heap.Heap) uint64 {
-	var set uint64
-	for _, h := range zone {
-		set |= 1 << uint(s.stripeFor(h))
-	}
-	return set
-}
-
-// lockStripes acquires the stripes in set in ascending index order — the
-// total order that makes striped admission deadlock-free (two admissions
-// contending for the same stripes always take their first common stripe
-// first).
-func (s *ZoneScheduler) lockStripes(set uint64) {
-	for m := set; m != 0; m &= m - 1 {
-		s.stripes[bits.TrailingZeros64(m)].mu.Lock()
-	}
-}
-
-func (s *ZoneScheduler) unlockStripes(set uint64) {
-	for m := set; m != 0; m &= m - 1 {
-		s.stripes[bits.TrailingZeros64(m)].mu.Unlock()
-	}
-}
-
-// tryAdmit attempts one admission: reserve a cap slot, lock the zone's
-// stripes, verify disjointness from every in-flight zone, and mark the
-// zone's heaps. Returns false (with the reservation rolled back) when the
-// cap is full or the zone intersects an in-flight collection.
-func (s *ZoneScheduler) tryAdmit(zone []*heap.Heap, set uint64, family uint64) bool {
-	if s.maxZones > 0 {
-		for {
-			n := s.nActive.Load()
-			if int(n) >= s.maxZones {
-				return false
-			}
-			if s.nActive.CompareAndSwap(n, n+1) {
-				break
-			}
-		}
-	} else {
-		s.nActive.Add(1)
-	}
-	s.lockStripes(set)
-	for _, h := range zone {
-		if _, busy := s.stripes[s.stripeFor(h)].active[h]; busy {
-			s.unlockStripes(set)
-			s.nActive.Add(-1)
-			return false
-		}
-	}
-	for _, h := range zone {
-		s.stripes[s.stripeFor(h)].active[h] = struct{}{}
-	}
-	s.unlockStripes(set)
-
-	s.statsMu.Lock()
-	s.curActive++
-	if int64(s.curActive) > s.stats.MaxConcurrent {
-		s.stats.MaxConcurrent = int64(s.curActive)
-	}
-	if family != 0 {
-		s.families[family]++
-		if n := int64(len(s.families)); n > s.stats.MaxConcurrentSessions {
-			s.stats.MaxConcurrentSessions = n
-		}
-	}
-	if s.curActive == 2 {
-		s.overlap = time.Now()
-	}
-	s.statsMu.Unlock()
-	return true
-}
-
-// Admit blocks until the zone is disjoint from every in-flight collection
-// and an admission slot is free, then marks it in flight. Admission holds
-// no heap locks while waiting, so it cannot deadlock against collectors or
-// promoters; in a disentangled hierarchy two live tasks never build
-// overlapping zones, so waiting here indicates either the admission cap or
-// a (tolerated, serialized) zone-construction bug.
+// Collect runs one zone collection of h under h's write lock: the
+// promotion-aware copy over the given roots. cc is the collecting worker's
+// chunk cache (nil when the caller runs off-worker): to-space chunks come
+// from it and the swept from-space recycles into it, keeping the
+// collection's chunk traffic off the global directory. family tags the
+// zone with the root-level session subtree it belongs to (0 for none), so
+// the recorder can count how many distinct sessions collect at once.
 //
-// family tags the zone with the session subtree it belongs to (0 = not a
-// session zone); the scheduler tracks how many distinct sessions collect
-// simultaneously.
-func (s *ZoneScheduler) Admit(zone []*heap.Heap, family uint64) {
-	set := s.stripeSet(zone)
-	for {
-		if s.tryAdmit(zone, set, family) {
-			return
-		}
-		// Register as a waiter, then re-check: a release between the
-		// failed attempt above and the registration would otherwise have
-		// run before anyone it could wake (the classic lost wakeup).
-		s.waitMu.Lock()
-		gen := s.waitGen
-		s.waiters.Add(1)
-		s.waitMu.Unlock()
-		if s.tryAdmit(zone, set, family) {
-			s.waiters.Add(-1)
-			return
-		}
-		s.waitMu.Lock()
-		for s.waitGen == gen {
-			s.cond.Wait()
-		}
-		s.waitMu.Unlock()
-		s.waiters.Add(-1)
-	}
-}
-
-// Release takes the zone out of flight and wakes waiting admissions. The
-// family must match the zone's Admit.
-func (s *ZoneScheduler) Release(zone []*heap.Heap, family uint64) {
-	set := s.stripeSet(zone)
-	s.lockStripes(set)
-	for _, h := range zone {
-		str := &s.stripes[s.stripeFor(h)]
-		if _, busy := str.active[h]; !busy {
-			s.unlockStripes(set)
-			panic(fmt.Sprintf("gc: releasing heap %v that is not in flight", h))
-		}
-		delete(str.active, h)
-	}
-	s.unlockStripes(set)
-
-	s.statsMu.Lock()
-	if family != 0 {
-		if s.families[family]--; s.families[family] <= 0 {
-			delete(s.families, family)
-		}
-	}
-	if s.curActive == 2 {
-		s.stats.OverlapNanos += time.Since(s.overlap).Nanoseconds()
-	}
-	s.curActive--
-	s.statsMu.Unlock()
-	s.nActive.Add(-1)
-
-	if s.waiters.Load() > 0 {
-		s.waitMu.Lock()
-		s.waitGen++
-		s.waitMu.Unlock()
-		s.cond.Broadcast()
-	}
-}
-
-// CollectZone runs one concurrent zone collection: admission, zone write
-// locks (canonical deepest-first order), the promotion-aware copy over the
-// given roots, then release. cc is the collecting worker's chunk cache
-// (nil when the caller runs off-worker): to-space chunks come from it and
-// the swept from-space recycles into it, keeping the collection's chunk
-// traffic off the global directory. It returns the collection's
-// statistics.
-//
-// The write locks are what lets this run concurrently with everything
-// outside the zone: findMaster read-locks and promotion write-locks target
-// only heaps on the *caller's* own root-path, and disentanglement keeps
-// other tasks' root-paths disjoint from this zone — so in a correct
-// execution the locks are uncontended, and in an incorrect one (an
-// entangled pointer into the zone) they serialize instead of corrupting.
-func (s *ZoneScheduler) CollectZone(cc *mem.ChunkCache, zone []*heap.Heap, roots []*mem.ObjPtr, kind ZoneKind) Stats {
-	return s.CollectSessionZone(cc, 0, zone, roots, kind)
-}
-
-// CollectSessionZone is CollectZone for a zone belonging to the root-level
-// session subtree identified by family (0 for zones outside any session).
-// Zones of distinct sessions are always disjoint, so they admit and run
-// concurrently; the scheduler counts how many distinct sessions it actually
-// observed collecting at once (ZoneStats.MaxConcurrentSessions).
-func (s *ZoneScheduler) CollectSessionZone(cc *mem.ChunkCache, family uint64, zone []*heap.Heap, roots []*mem.ObjPtr, kind ZoneKind) Stats {
-	z := make([]*heap.Heap, len(zone))
-	copy(z, zone)
-	heap.SortZone(z)
-
-	// The span opens BEFORE admission so an admission stall (a conflicting
-	// in-flight zone, or the concurrency cap) is visible as the gap between
-	// this zone's span start and its copy work — exactly the signal the
-	// zones table's aggregate counters cannot show.
+// The write lock excludes findMaster readers and promotions targeting h.
+// Those only ever climb the *caller's* own root path, and disentanglement
+// keeps other tasks' root paths out of the zone, so in a correct execution
+// the lock is uncontended; should an entangled pointer ever reach into the
+// zone, the lock serializes instead of corrupting.
+func (z *ZoneRecorder) Collect(cc *mem.ChunkCache, family uint64, h *heap.Heap, roots []*mem.ObjPtr, kind ZoneKind) Stats {
 	track := -1
 	if cc != nil {
 		track = cc.Owner()
 	}
 	var span uint64
-	if trace.Enabled() && len(z) > 0 {
-		aux := uint32(kind)&0xff | uint32(s.stripeFor(z[0]))<<8
-		span = trace.Begin(track, trace.EvZone, aux, z[0].ID())
+	if trace.Enabled() {
+		span = trace.Begin(track, trace.EvZone, uint32(kind), h.ID())
 	}
-	s.Admit(z, family)
+	z.begin(family)
 	start := time.Now()
-	heap.LockZone(z)
-	st := CollectWith(cc, z, roots)
-	heap.UnlockZone(z)
+	h.Lock(heap.WRITE)
+	st := CollectWith(cc, []*heap.Heap{h}, roots)
+	h.Unlock()
 	dur := time.Since(start).Nanoseconds()
-	s.Release(z, family)
+	z.end(family, kind, st.WordsCopied, dur)
 	if span != 0 {
 		trace.End(track, trace.EvZone, span, 0, uint64(st.WordsCopied))
 	}
+	return st
+}
 
-	s.statsMu.Lock()
-	s.stats.Zones++
-	if kind == JoinZone {
-		s.stats.JoinZones++
-	} else {
-		s.stats.LeafZones++
+// begin marks a zone in flight, opening an overlap span when it is the
+// second, and raising the concurrency peaks.
+func (z *ZoneRecorder) begin(family uint64) {
+	z.statsMu.Lock()
+	z.active++
+	if int64(z.active) > z.stats.MaxConcurrent {
+		z.stats.MaxConcurrent = int64(z.active)
 	}
 	if family != 0 {
-		s.stats.SessionZones++
+		z.families[family]++
+		if n := int64(len(z.families)); n > z.stats.MaxConcurrentSessions {
+			z.stats.MaxConcurrentSessions = n
+		}
 	}
-	s.stats.WordsCopied += st.WordsCopied
-	s.stats.ZoneNanos += dur
-	s.statsMu.Unlock()
-	return st
+	if z.active == 2 {
+		z.overlap = time.Now()
+	}
+	z.statsMu.Unlock()
 }
 
-// Snapshot returns the scheduler's aggregate statistics so far.
-func (s *ZoneScheduler) Snapshot() ZoneStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	st := s.stats
-	if s.curActive >= 2 {
-		st.OverlapNanos += time.Since(s.overlap).Nanoseconds()
+// end takes a zone out of flight and counts the completed collection.
+func (z *ZoneRecorder) end(family uint64, kind ZoneKind, words, nanos int64) {
+	z.statsMu.Lock()
+	if family != 0 {
+		if z.families[family]--; z.families[family] <= 0 {
+			delete(z.families, family)
+		}
+		z.stats.SessionZones++
 	}
-	return st
+	if z.active == 2 {
+		z.stats.OverlapNanos += time.Since(z.overlap).Nanoseconds()
+	}
+	z.active--
+	z.stats.Zones++
+	if kind == JoinZone {
+		z.stats.JoinZones++
+	} else {
+		z.stats.LeafZones++
+	}
+	z.stats.WordsCopied += words
+	z.stats.ZoneNanos += nanos
+	z.statsMu.Unlock()
 }
 
-// InFlight returns the number of zone collections currently admitted.
-func (s *ZoneScheduler) InFlight() int {
-	return int(s.nActive.Load())
+// Snapshot returns the recorder's aggregate statistics so far.
+func (z *ZoneRecorder) Snapshot() ZoneStats {
+	z.statsMu.Lock()
+	defer z.statsMu.Unlock()
+	st := z.stats
+	if z.active >= 2 {
+		st.OverlapNanos += time.Since(z.overlap).Nanoseconds()
+	}
+	return st
 }

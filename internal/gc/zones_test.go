@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -8,84 +9,96 @@ import (
 	"repro/internal/mem"
 )
 
-// admitted runs Admit(zone) in a goroutine and returns a channel that
-// closes once admission succeeds.
-func admitted(s *ZoneScheduler, zone []*heap.Heap) chan struct{} {
-	ch := make(chan struct{})
+// heldCollect starts a collection of h while holding h's write lock, so the
+// collection is in flight but cannot copy. The returned function releases
+// the lock and waits for the collection to finish.
+func heldCollect(z *ZoneRecorder, h *heap.Heap, family uint64) (finish func()) {
+	h.Lock(heap.WRITE)
+	done := make(chan struct{})
 	go func() {
-		s.Admit(zone, 0)
-		close(ch)
+		defer close(done)
+		z.Collect(nil, family, h, nil, LeafZone)
 	}()
-	return ch
+	return func() {
+		h.Unlock()
+		<-done
+	}
 }
 
-func waitAdmitted(t *testing.T, ch chan struct{}, what string) {
+// waitInFlight waits until n collections are in flight on z.
+func waitInFlight(t *testing.T, z *ZoneRecorder, n int) {
 	t.Helper()
-	select {
-	case <-ch:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("%s: admission did not complete", what)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		z.statsMu.Lock()
+		got := z.active
+		z.statsMu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("in flight = %d, want %d", got, n)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
 func TestZoneSchedulerDisjointZonesOverlap(t *testing.T) {
 	root := heap.NewRoot()
 	a, b := heap.NewChild(root), heap.NewChild(root)
-	s := NewZoneScheduler(0)
+	defer heap.FreeChunkList(a.TakeChunks())
+	defer heap.FreeChunkList(b.TakeChunks())
+	live := buildList(b, 40)
+	z := NewZoneRecorder()
 
-	s.Admit([]*heap.Heap{a}, 0)
-	// A disjoint zone must be admitted while the first is still in flight.
-	waitAdmitted(t, admitted(s, []*heap.Heap{b}), "disjoint zone")
-	if got := s.InFlight(); got != 2 {
-		t.Fatalf("in flight = %d, want 2", got)
+	finishA := heldCollect(z, a, 0)
+	waitInFlight(t, z, 1)
+	// The sibling's collection runs to completion while a's is in flight.
+	z.Collect(nil, 0, b, []*mem.ObjPtr{&live}, LeafZone)
+	checkList(t, live, 40, b)
+	if st := z.Snapshot(); st.Zones != 1 {
+		t.Fatalf("Zones = %d while a's write lock is held, want 1", st.Zones)
 	}
-	s.Release([]*heap.Heap{a}, 0)
-	s.Release([]*heap.Heap{b}, 0)
+	finishA()
 
-	st := s.Snapshot()
-	if st.MaxConcurrent != 2 {
-		t.Fatalf("MaxConcurrent = %d, want 2", st.MaxConcurrent)
+	st := z.Snapshot()
+	if st.Zones != 2 || st.MaxConcurrent != 2 {
+		t.Fatalf("Zones = %d, MaxConcurrent = %d, want 2 and 2", st.Zones, st.MaxConcurrent)
 	}
 	if st.OverlapNanos <= 0 {
 		t.Fatal("overlapping zones recorded no overlap time")
 	}
 }
 
+// A zone heap's write lock is the second line of defense: two collections
+// of one heap, which only a leaked pointer could cause, take turns instead
+// of copying the same objects at once.
 func TestZoneSchedulerSerializesSharedHeap(t *testing.T) {
-	root := heap.NewRoot()
-	parent := heap.NewChild(root)
-	child := heap.NewChild(parent)
-	s := NewZoneScheduler(0)
+	h := heap.NewRoot()
+	defer heap.FreeChunkList(h.TakeChunks())
+	live := buildList(h, 200)
+	z := NewZoneRecorder()
 
-	s.Admit([]*heap.Heap{parent, child}, 0)
-	// A zone sharing `child` must wait for the first to be released. No
-	// interleaving can drive MaxConcurrent to 2, so the property is
-	// deterministic even though the blocking itself is timing-dependent.
-	ch := admitted(s, []*heap.Heap{child})
-	time.Sleep(time.Millisecond)
-	s.Release([]*heap.Heap{parent, child}, 0)
-	waitAdmitted(t, ch, "overlapping zone after release")
-	s.Release([]*heap.Heap{child}, 0)
-
-	if st := s.Snapshot(); st.MaxConcurrent != 1 {
-		t.Fatalf("overlapping zones ran concurrently: MaxConcurrent = %d", st.MaxConcurrent)
+	h.Lock(heap.WRITE)
+	var wg sync.WaitGroup
+	var copied [2]int64
+	for i := range copied {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			copied[i] = z.Collect(nil, 0, h, []*mem.ObjPtr{&live}, LeafZone).ObjectsCopied
+		}(i)
 	}
-}
+	waitInFlight(t, z, 2)
+	if st := z.Snapshot(); st.Zones != 0 {
+		t.Fatalf("%d collections finished while the heap was write-locked", st.Zones)
+	}
+	h.Unlock()
+	wg.Wait()
 
-func TestZoneSchedulerRespectsCap(t *testing.T) {
-	root := heap.NewRoot()
-	a, b := heap.NewChild(root), heap.NewChild(root)
-	s := NewZoneScheduler(1)
-
-	s.Admit([]*heap.Heap{a}, 0)
-	ch := admitted(s, []*heap.Heap{b}) // disjoint, but over the cap
-	time.Sleep(time.Millisecond)
-	s.Release([]*heap.Heap{a}, 0)
-	waitAdmitted(t, ch, "capped zone after release")
-	s.Release([]*heap.Heap{b}, 0)
-
-	if st := s.Snapshot(); st.MaxConcurrent != 1 {
-		t.Fatalf("cap of 1 violated: MaxConcurrent = %d", st.MaxConcurrent)
+	checkList(t, live, 200, h)
+	if copied != [2]int64{200, 200} {
+		t.Fatalf("objects copied = %v, want 200 by each collection", copied)
 	}
 }
 
@@ -97,14 +110,14 @@ func TestCollectZoneCollectsAndCounts(t *testing.T) {
 		h.FreshObj(0, 8, mem.TagTuple) // garbage
 	}
 
-	s := NewZoneScheduler(0)
-	stats := s.CollectZone(nil, []*heap.Heap{h}, []*mem.ObjPtr{&live}, LeafZone)
+	z := NewZoneRecorder()
+	stats := z.Collect(nil, 0, h, []*mem.ObjPtr{&live}, LeafZone)
 
 	checkList(t, live, 40, h)
 	if stats.ObjectsCopied != 40 {
 		t.Fatalf("copied %d objects, want 40", stats.ObjectsCopied)
 	}
-	zs := s.Snapshot()
+	zs := z.Snapshot()
 	if zs.Zones != 1 || zs.LeafZones != 1 || zs.JoinZones != 0 {
 		t.Fatalf("zone counts = %+v", zs)
 	}
@@ -114,12 +127,12 @@ func TestCollectZoneCollectsAndCounts(t *testing.T) {
 	if zs.ZoneNanos <= 0 {
 		t.Fatal("no zone time recorded")
 	}
-	if s.InFlight() != 0 {
-		t.Fatal("zone not released after collection")
+	if zs.MaxConcurrent != 1 || zs.OverlapNanos != 0 {
+		t.Fatalf("a lone zone recorded concurrency: %+v", zs)
 	}
 
-	s.CollectZone(nil, []*heap.Heap{h}, []*mem.ObjPtr{&live}, JoinZone)
-	if zs := s.Snapshot(); zs.JoinZones != 1 || zs.Zones != 2 {
+	z.Collect(nil, 0, h, []*mem.ObjPtr{&live}, JoinZone)
+	if zs := z.Snapshot(); zs.JoinZones != 1 || zs.Zones != 2 {
 		t.Fatalf("join zone not counted: %+v", zs)
 	}
 }
@@ -130,8 +143,7 @@ func TestCollectZoneTakesWriteLocks(t *testing.T) {
 	live := buildList(h, 5)
 	before := h.LockStats().WriteAcquires
 
-	s := NewZoneScheduler(0)
-	s.CollectZone(nil, []*heap.Heap{h}, []*mem.ObjPtr{&live}, LeafZone)
+	NewZoneRecorder().Collect(nil, 0, h, []*mem.ObjPtr{&live}, LeafZone)
 
 	if after := h.LockStats().WriteAcquires; after != before+1 {
 		t.Fatalf("write acquires %d -> %d, want one zone write lock", before, after)
@@ -141,27 +153,32 @@ func TestCollectZoneTakesWriteLocks(t *testing.T) {
 func TestZoneSchedulerTracksSessionFamilies(t *testing.T) {
 	root := heap.NewRoot()
 	a, b, c := heap.NewChild(root), heap.NewChild(root), heap.NewChild(root)
-	s := NewZoneScheduler(0)
+	for _, h := range []*heap.Heap{a, b, c} {
+		defer heap.FreeChunkList(h.TakeChunks())
+	}
+	z := NewZoneRecorder()
 
 	// Two zones of DISTINCT sessions in flight: distinct-session peak is 2.
-	s.Admit([]*heap.Heap{a}, 7)
-	s.Admit([]*heap.Heap{b}, 9)
+	finishA := heldCollect(z, a, 7)
+	finishB := heldCollect(z, b, 9)
+	waitInFlight(t, z, 2)
 	// A second zone of an already-collecting session must not raise it.
-	s.Admit([]*heap.Heap{c}, 7)
-	s.Release([]*heap.Heap{c}, 7)
-	s.Release([]*heap.Heap{b}, 9)
-	s.Release([]*heap.Heap{a}, 7)
+	z.Collect(nil, 7, c, nil, LeafZone)
+	finishB()
+	finishA()
 
 	// An untagged zone never counts as a session.
-	s.Admit([]*heap.Heap{a}, 0)
-	s.Release([]*heap.Heap{a}, 0)
+	z.Collect(nil, 0, a, nil, LeafZone)
 
-	st := s.Snapshot()
+	st := z.Snapshot()
 	if st.MaxConcurrentSessions != 2 {
 		t.Fatalf("MaxConcurrentSessions = %d, want 2", st.MaxConcurrentSessions)
 	}
 	if st.MaxConcurrent != 3 {
 		t.Fatalf("MaxConcurrent = %d, want 3", st.MaxConcurrent)
+	}
+	if st.SessionZones != 3 {
+		t.Fatalf("SessionZones = %d, want 3", st.SessionZones)
 	}
 }
 
@@ -170,15 +187,16 @@ func TestCollectSessionZoneCounts(t *testing.T) {
 	defer heap.FreeChunkList(h.TakeChunks())
 	live := buildList(h, 8)
 
-	s := NewZoneScheduler(0)
-	s.CollectSessionZone(nil, 42, []*heap.Heap{h}, []*mem.ObjPtr{&live}, LeafZone)
-	s.CollectZone(nil, []*heap.Heap{h}, []*mem.ObjPtr{&live}, LeafZone)
+	z := NewZoneRecorder()
+	z.Collect(nil, 42, h, []*mem.ObjPtr{&live}, LeafZone)
+	z.Collect(nil, 0, h, []*mem.ObjPtr{&live}, LeafZone)
 
-	zs := s.Snapshot()
+	zs := z.Snapshot()
 	if zs.SessionZones != 1 {
 		t.Fatalf("SessionZones = %d, want 1", zs.SessionZones)
 	}
 	if zs.Zones != 2 {
 		t.Fatalf("Zones = %d, want 2", zs.Zones)
 	}
+	checkList(t, live, 8, h)
 }

@@ -21,14 +21,12 @@
 // of its own, away from the depth and parent fields every barrier reads and
 // from the bump-allocator fields every allocation writes.
 //
-// One global lock order keeps the three composable — every multi-heap
-// acquisition climbs the hierarchy bottom-up (deepest heap first, heap ID
-// breaking ties between siblings). The zone helpers encode that order:
-// SortZone canonicalizes a zone, LockZone/UnlockZone write-lock and
-// release it in order, and IsAncestorOf answers zone-membership queries
-// through any joins. The promotion path's climb (core.PromoteBuf.lockPath)
-// follows the same order from the other end: pointee's heap first, then
-// each ancestor up to the promotion target.
+// One lock order keeps the three composable: the only multi-heap
+// acquisition, the promotion path's climb (core.PromoteBuf.lockPath),
+// climbs the hierarchy bottom-up, pointee's heap first, then each ancestor
+// up to the promotion target. A zone collection holds one heap's write lock
+// and takes no other heap lock while holding it. IsAncestorOf answers
+// zone-membership queries through any joins.
 //
 // Depth is the hierarchy's cheap ancestry oracle: two heaps referenced by
 // one task both lie on that task's root path, so comparing Depth values is

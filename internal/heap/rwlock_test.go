@@ -237,9 +237,9 @@ func TestRWLockWriterWriterStress(t *testing.T) {
 }
 
 // A promotion climb write-locks a root path leaf first; a zone collection
-// write-locks a sorted zone deepest first. Running both over one hierarchy,
-// with zones that overlap the climbed paths, must neither deadlock nor let
-// two holders into one heap.
+// write-locks its one heap and takes nothing else. Running both over one
+// hierarchy, with zone heaps on the climbed paths, must neither deadlock
+// nor let two holders into one heap.
 func TestLockZoneVersusClimb(t *testing.T) {
 	withProcs(t, func(t *testing.T) {
 		root := NewRoot()
@@ -275,21 +275,17 @@ func TestLockZoneVersusClimb(t *testing.T) {
 				}
 			}(leaf)
 		}
-		zones := [][]*Heap{{mid, leaves[0], leaves[1], leaves[2]}, {root, mid}, {leaves[1]}}
-		for _, zone := range zones {
+		// mid appears twice: two collectors of one heap, which only a leaked
+		// pointer could cause, must still take turns.
+		for _, zone := range []*Heap{root, mid, leaves[1], mid} {
 			wg.Add(1)
-			go func(zone []*Heap) {
+			go func(zone *Heap) {
 				defer wg.Done()
-				SortZone(zone)
 				for i := 0; i < iters; i++ {
-					LockZone(zone)
-					for _, h := range zone {
-						enter(h)
-					}
-					for _, h := range zone {
-						exit(h)
-					}
-					UnlockZone(zone)
+					zone.Lock(WRITE)
+					enter(zone)
+					exit(zone)
+					zone.Unlock()
 				}
 			}(zone)
 		}

@@ -1,46 +1,5 @@
 package heap
 
-import "sort"
-
-// Zone helpers: a collection zone is a heap plus (optionally) its live
-// descendants. Concurrent zone collections must agree on one global lock
-// order, and the only order compatible with the promotion path's bottom-up
-// climb (core.writePromote locks the pointee's heap first, then ancestors)
-// is deepest-first. Every multi-heap acquisition in the system therefore
-// acquires locks in strictly non-increasing depth, with heap ID breaking
-// ties between siblings, and no acquisition ever waits on a heap deeper
-// than one it already holds.
-
-// SortZone orders a zone into the canonical lock-acquisition order:
-// deepest heap first, heap ID ascending between heaps of equal depth.
-func SortZone(zone []*Heap) {
-	sort.Slice(zone, func(i, j int) bool {
-		di, dj := zone[i].Depth(), zone[j].Depth()
-		if di != dj {
-			return di > dj
-		}
-		return zone[i].id < zone[j].id
-	})
-}
-
-// LockZone write-locks every heap of a zone in the canonical order. The
-// zone must already be sorted with SortZone. Holding the write locks
-// excludes findMaster readers and promotions targeting any zone heap for
-// the duration of a collection.
-func LockZone(zone []*Heap) {
-	for _, h := range zone {
-		h.Lock(WRITE)
-	}
-}
-
-// UnlockZone releases a zone's write locks in reverse (shallowest-first)
-// order, mirroring the promotion path's unlock discipline.
-func UnlockZone(zone []*Heap) {
-	for i := len(zone) - 1; i >= 0; i-- {
-		zone[i].Unlock()
-	}
-}
-
 // IsAncestorOf reports whether h is an ancestor of d in the hierarchy,
 // counting a heap as an ancestor of itself. Both ends are resolved through
 // joins first, so a heap that was merged into h counts as h. It backs the

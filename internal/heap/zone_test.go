@@ -2,42 +2,6 @@ package heap
 
 import "testing"
 
-func TestSortZoneDeepestFirst(t *testing.T) {
-	root := NewRoot()
-	mid := NewChild(root)
-	leafA := NewChild(mid)
-	leafB := NewChild(mid)
-
-	zone := []*Heap{root, leafB, mid, leafA}
-	SortZone(zone)
-	if zone[0].Depth() != 2 || zone[1].Depth() != 2 || zone[2] != mid || zone[3] != root {
-		t.Fatalf("bad order: %v", zone)
-	}
-	if zone[0].ID() > zone[1].ID() {
-		t.Fatal("equal-depth heaps must be ordered by ID")
-	}
-}
-
-func TestLockUnlockZone(t *testing.T) {
-	root := NewRoot()
-	child := NewChild(root)
-	zone := []*Heap{child, root}
-
-	LockZone(zone)
-	for _, h := range zone {
-		if st := h.LockStats(); st.WriteAcquires != 1 {
-			t.Fatalf("heap %v write acquires = %d", h, st.WriteAcquires)
-		}
-	}
-	UnlockZone(zone)
-	// Unlocked: a fresh write acquisition must not be contended.
-	root.Lock(WRITE)
-	root.Unlock()
-	if st := root.LockStats(); st.WriteContended != 0 {
-		t.Fatal("zone lock leaked")
-	}
-}
-
 func TestIsAncestorOf(t *testing.T) {
 	root := NewRoot()
 	mid := NewChild(root)

@@ -15,9 +15,9 @@ import (
 // rank) makes the parallel update race-free without CAS.
 //
 // As a mix component this is the low-priority, long-occupancy tenant of
-// the mixed-criticality story: its sessions hold chunks and schedule
-// zones for much longer than a kv request, so the latency-sensitive
-// traffic it is mixed with shares the pool and the zone scheduler with it.
+// the mixed-criticality story: its sessions hold chunks for much longer
+// than a kv request, and the latency-sensitive traffic it is mixed with
+// shares the pool with it.
 func rankRequest(t *hh.Task, seed uint64, size, iters int) uint64 {
 	nv := size / 8
 	if nv < 16 {

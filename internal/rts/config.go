@@ -39,12 +39,6 @@ type Config struct {
 	// whatever Policy says: release frees it wholesale (Task.shouldCollect).
 	Policy gc.Policy
 
-	// MaxConcurrentZones caps how many hierarchical zone collections may be
-	// in flight at once (ParMem leaf/join zones, Manticore local heaps).
-	// 0 means one per processor. Setting 1 serializes all collections — the
-	// ablation that measures what concurrent collection buys.
-	MaxConcurrentZones int
-
 	// STWFloorBytes and STWRatio drive the stop-the-world trigger: collect
 	// when global occupancy exceeds max(floor, ratio * live-after-last-GC).
 	STWFloorBytes int64

@@ -4,15 +4,15 @@
 //
 //   - ParMem — the paper's contribution: hierarchical heaps mirroring the
 //     fork-join task tree, promotion on entangling pointer writes, and
-//     concurrent zone collection (labelled mlton-parmem). Collections are
-//     scheduled by gc.ZoneScheduler and never park the world: a leaf zone
-//     (the task's current heap) collects at an allocation safe point, and
-//     a join zone (the merged ancestor, free of live descendants once the
-//     join completes) collects at the join — at a top-level join that
-//     ancestor is the hierarchy root, so whole-hierarchy collection also
-//     needs no rendezvous. Disjoint zones collect concurrently, bounded
-//     by Config.MaxConcurrentZones (0 = one per processor; 1 = the
-//     serialized-collection ablation).
+//     concurrent zone collection (labelled mlton-parmem). Collections
+//     never park the world: a leaf zone (the task's current heap) collects
+//     at an allocation safe point, and a join zone (the merged ancestor,
+//     free of live descendants once the join completes) collects at the
+//     join — at a top-level join that ancestor is the hierarchy root, so
+//     whole-hierarchy collection also needs no rendezvous. Each zone is
+//     one heap collected by its owning task under that heap's write lock,
+//     so zones of different tasks collect concurrently with nothing to
+//     admit them; gc.ZoneRecorder counts the overlap.
 //   - STW — Spoonhower-style parallel ML: the same scheduler, per-worker
 //     allocation into flat heaps, and sequential stop-the-world semispace
 //     collection with a safe-point rendezvous (labelled mlton-spoonhower).
@@ -24,8 +24,8 @@
 //     global heap; data is promoted (copied) to the global heap whenever the
 //     runtime communicates it across workers (stolen-task environments and
 //     stolen-task results), and local heaps are collected independently —
-//     routed through the same zone scheduler so their concurrency shows up
-//     in the same counters.
+//     through the same zone recorder, so their concurrency shows up in the
+//     same counters.
 //
 // Tasks carry a shadow stack of root slots (registered *mem.ObjPtr Go
 // locals); collections update the slots in place. The rooting contract for
@@ -39,7 +39,7 @@
 //
 // Execution is organized as SESSIONS (session.go): every unit of work —
 // Run included — is a root-level subtree under the process super-root
-// heap, concurrent with other sessions, tagged through the zone scheduler
+// heap, concurrent with other sessions, tagged through the zone recorder
 // so cross-session collection concurrency is measured, and reclaimed
 // wholesale (bulk chunk release, no merge) on completion unless pinned.
 // An unpinned session's heaps are therefore not collected below 1 MiB

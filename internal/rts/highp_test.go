@@ -15,8 +15,9 @@ import (
 // P ∈ {2, 8, NumCPU} with GOMAXPROCS matched to P, so the race detector
 // sees both the tightly serialized interleavings of a small P and the
 // wide ones of an oversubscribed scheduler. These are the tests that
-// exercise the striped admission, striped child registry, sharded pool,
-// and striped totals together under real mutator traffic.
+// exercise concurrent zone collections, the striped child registry, the
+// sharded pool, and the striped totals together under real mutator
+// traffic.
 
 // highPs returns the deduplicated sweep {2, 8, NumCPU}, smallest first.
 func highPs() []int {
@@ -41,10 +42,10 @@ func setProcs(t *testing.T, p int) {
 
 // TestZoneStressAcrossProcs runs the concurrent-collection stress at every
 // sweep point: live lists survive, promotions interleave with in-flight
-// collections, and disentanglement holds, at 2 workers and at worker
-// counts well past the stripe-collision regime. Unlike the retrying
-// headline test (TestConcurrentZoneCollections) this asserts correctness,
-// not observed overlap, so one run per P suffices.
+// collections, and disentanglement holds, at every worker count of the
+// sweep. Unlike the retrying headline test (TestConcurrentZoneCollections)
+// this asserts correctness, not observed overlap, so one run per P
+// suffices.
 func TestZoneStressAcrossProcs(t *testing.T) {
 	for _, p := range highPs() {
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
@@ -58,27 +59,6 @@ func TestZoneStressAcrossProcs(t *testing.T) {
 			if st.Zones.Zones == 0 || st.Ops.Promotions == 0 {
 				t.Fatalf("stress did not stress at P=%d: %+v / %d promotions",
 					p, st.Zones, st.Ops.Promotions)
-			}
-		})
-	}
-}
-
-// TestZoneStressSerializedCapAcrossProcs: the cap=1 ablation property —
-// never two overlapping collections — must hold at high P too, where the
-// striped admission has the most chances to get it wrong.
-func TestZoneStressSerializedCapAcrossProcs(t *testing.T) {
-	for _, p := range highPs() {
-		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
-			setProcs(t, p)
-			cfg := DefaultConfig(ParMem, p)
-			cfg.Policy = gc.Policy{MinWords: 4096, Ratio: 1.2}
-			cfg.MaxConcurrentZones = 1
-			ok, st := runZoneStress(t, cfg, 3, 800)
-			if ok != 1 {
-				t.Fatalf("data corruption at P=%d", p)
-			}
-			if st.Zones.MaxConcurrent > 1 {
-				t.Fatalf("cap of 1 violated at P=%d: MaxConcurrent = %d", p, st.Zones.MaxConcurrent)
 			}
 		})
 	}
@@ -119,70 +99,82 @@ func sessionChurn(t *Task, seed uint64, listLen int) uint64 {
 // TestAttachDetachDuringZoneCollections races the super-root child
 // registry against in-flight zone collections: waves of short unpinned
 // sessions attach at submit and detach at wholesale reclaim, WHILE their
-// siblings' subtrees are mid-collection (the aggressive policy keeps
-// every live session collecting). The striped registry must neither lose
-// a child (leak: AttachedCount != 0 after the waves) nor corrupt a
-// session another stripe is reclaiming.
+// siblings' subtrees are mid-collection (each session's garbage carries its
+// heap past the unpinned-session floor, so every live session collects).
+// The striped registry must neither lose a child (leak: AttachedCount != 0
+// after the waves) nor corrupt a session another stripe is reclaiming.
+// The Seq leg runs each session on a goroutine of its own, so its session
+// zones overlap with nothing between them but their heaps' write locks.
 func TestAttachDetachDuringZoneCollections(t *testing.T) {
 	for _, p := range highPs() {
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
 			setProcs(t, p)
-			cfg := DefaultConfig(ParMem, p)
-			cfg.Policy = gc.Policy{MinWords: 4096, Ratio: 1.2}
-			r := New(cfg)
-			defer r.Close()
-			base := mem.ChunksInUse()
-
-			const waves, perWave = 4, 12
-			for w := 0; w < waves; w++ {
-				var wg sync.WaitGroup
-				results := make([]uint64, perWave)
-				for i := 0; i < perWave; i++ {
-					seed := uint64(w*perWave + i + 1)
-					ses := r.Submit(SessionOpts{}, func(task *Task) uint64 {
-						return sessionChurn(task, seed<<20, 400)
-					})
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						res, err := ses.Wait()
-						if err != nil {
-							t.Errorf("session failed: %v", err)
-							return
-						}
-						results[i] = res
-					}(i)
-				}
-				wg.Wait()
-				for i, res := range results {
-					if res != 1 {
-						t.Fatalf("wave %d session %d corrupted its data", w, i)
-					}
-				}
-			}
-
-			if got := r.rootHeap.AttachedCount(); got != 0 {
-				t.Fatalf("child registry leaked %d sessions", got)
-			}
-			// Unpinned sessions reclaim wholesale; occupancy returns to the
-			// pre-traffic baseline once every wave has drained.
-			deadline := time.Now().Add(10 * time.Second)
-			for mem.ChunksInUse() != base && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if got := mem.ChunksInUse(); got != base {
-				t.Fatalf("chunks in use = %d after drain, want baseline %d", got, base)
-			}
-			st := r.Stats()
-			if st.Sessions.Completed != waves*perWave {
-				t.Fatalf("completed %d sessions, want %d", st.Sessions.Completed, waves*perWave)
-			}
-			if st.Zones.SessionZones == 0 {
-				t.Fatal("no session-tagged zone collections: the stress never stressed the registry")
-			}
-			if err := r.CheckDisentangled(); err != nil {
-				t.Fatalf("disentanglement violated: %v", err)
-			}
+			attachDetachDuringZones(t, DefaultConfig(ParMem, p))
 		})
 	}
+	t.Run("Seq", func(t *testing.T) {
+		setProcs(t, 4)
+		attachDetachDuringZones(t, DefaultConfig(Seq, 1))
+	})
+}
+
+func attachDetachDuringZones(t *testing.T, cfg Config) {
+	cfg.Policy = gc.Policy{MinWords: 4096, Ratio: 1.2}
+	r := New(cfg)
+	defer r.Close()
+	base := mem.ChunksInUse()
+
+	const waves, perWave = 4, 12
+	for w := 0; w < waves; w++ {
+		var wg sync.WaitGroup
+		results := make([]uint64, perWave)
+		for i := 0; i < perWave; i++ {
+			seed := uint64(w*perWave + i + 1)
+			ses := r.Submit(SessionOpts{}, func(task *Task) uint64 {
+				return sessionChurn(task, seed<<20, 400)
+			})
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				res, err := ses.Wait()
+				if err != nil {
+					t.Errorf("session failed: %v", err)
+					return
+				}
+				results[i] = res
+			}(i)
+		}
+		wg.Wait()
+		for i, res := range results {
+			if res != 1 {
+				t.Fatalf("wave %d session %d corrupted its data", w, i)
+			}
+		}
+	}
+
+	if got := r.rootHeap.AttachedCount(); got != 0 {
+		t.Fatalf("child registry leaked %d sessions", got)
+	}
+	// Unpinned sessions reclaim wholesale; occupancy returns to the
+	// pre-traffic baseline once every wave has drained.
+	deadline := time.Now().Add(10 * time.Second)
+	for mem.ChunksInUse() != base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := mem.ChunksInUse(); got != base {
+		t.Fatalf("chunks in use = %d after drain, want baseline %d", got, base)
+	}
+	st := r.Stats()
+	if st.Sessions.Completed != waves*perWave {
+		t.Fatalf("completed %d sessions, want %d", st.Sessions.Completed, waves*perWave)
+	}
+	if st.Zones.SessionZones == 0 {
+		t.Fatal("no session-tagged zone collections: the stress never stressed the registry")
+	}
+	if err := r.CheckDisentangled(); err != nil {
+		t.Fatalf("disentanglement violated: %v", err)
+	}
+	t.Logf("%d session zones, max %d concurrent (%d distinct sessions), %v overlap",
+		st.Zones.SessionZones, st.Zones.MaxConcurrent, st.Zones.MaxConcurrentSessions,
+		time.Duration(st.Zones.OverlapNanos))
 }

@@ -24,7 +24,7 @@ func (t *Task) Alloc(numPtr, numNonptr int, tag mem.Tag) mem.ObjPtr {
 	case ParMem, Seq:
 		h := t.sh.Current()
 		if !r.cfg.DisableGC && t.shouldCollect(h) {
-			t.collectZone([]*heap.Heap{h}, gc.LeafZone)
+			t.collectZone(h, gc.LeafZone)
 		}
 		return core.Alloc(t.chunkCache(), h, &t.Ops, numPtr, numNonptr, tag)
 	case STW:

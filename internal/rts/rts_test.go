@@ -1,7 +1,10 @@
 package rts
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gc"
@@ -266,13 +269,26 @@ func TestParMemDisentanglementMaintained(t *testing.T) {
 }
 
 func TestManticorePromotesOnSteal(t *testing.T) {
-	// With multiple workers and a tree build, steals must occur and the
-	// stolen results must be promoted to the global heap.
+	// A stolen task's result must be promoted to the global heap. The
+	// steal is made certain: the left arm of the first fork waits until
+	// the right arm runs, which, while the left arm holds its worker, only
+	// a thief can do.
 	cfg := testConfig(Manticore, 4)
 	r := New(cfg)
+	var rightRunning atomic.Bool
 	got := r.Run(func(task *Task) uint64 {
-		root := buildTree(task, 10)
-		return sumTree(task, root)
+		l, rt := task.ForkJoin(mem.NilPtr,
+			func(t *Task, _ mem.ObjPtr) mem.ObjPtr {
+				for deadline := time.Now().Add(10 * time.Second); !rightRunning.Load() && time.Now().Before(deadline); {
+					runtime.Gosched()
+				}
+				return buildTree(t, 9)
+			},
+			func(t *Task, _ mem.ObjPtr) mem.ObjPtr {
+				rightRunning.Store(true)
+				return buildTree(t, 9)
+			})
+		return sumTree(task, l) + sumTree(task, rt)
 	})
 	st := r.Stats()
 	r.Close()
@@ -280,7 +296,7 @@ func TestManticorePromotesOnSteal(t *testing.T) {
 		t.Fatalf("sum = %d", got)
 	}
 	if st.Steals == 0 {
-		t.Skip("no steals happened on this run; promotion unobservable")
+		t.Fatal("no thief took the right arm within 10 s")
 	}
 	if st.Ops.PromotedWords == 0 {
 		t.Fatal("manticore: steals without promotion")

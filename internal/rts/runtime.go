@@ -27,10 +27,10 @@ type Runtime struct {
 	rootHeap *heap.Heap
 	states   []*workerState
 
-	// zones schedules concurrent zone collections in the hierarchical
-	// modes (ParMem, Seq, Manticore). Nil in STW mode, whose collections
-	// are a whole-world rendezvous instead (gcdrive.go).
-	zones *gc.ZoneScheduler
+	// zones runs and counts zone collections in the hierarchical modes
+	// (ParMem, Seq, Manticore). Nil in STW mode, whose collections are a
+	// whole-world rendezvous instead (gcdrive.go).
+	zones *gc.ZoneRecorder
 
 	// totals are the merged per-task counters, striped by worker so a task
 	// finishing on one worker never contends with a task finishing on
@@ -142,14 +142,7 @@ func New(cfg Config) *Runtime {
 	r.baselineAlloc = mem.AllocSnapshot()
 
 	if cfg.Mode != STW {
-		maxZones := cfg.MaxConcurrentZones
-		if maxZones <= 0 {
-			maxZones = cfg.Procs
-			if cfg.Mode == Seq {
-				maxZones = 1
-			}
-		}
-		r.zones = gc.NewZoneScheduler(maxZones)
+		r.zones = gc.NewZoneRecorder()
 	}
 
 	switch cfg.Mode {

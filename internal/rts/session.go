@@ -19,7 +19,7 @@ import (
 // a stealable root frame and executed concurrently with every other
 // session. Inside a session the usual fork-join discipline applies
 // unchanged; across sessions the subtrees are disjoint, so their zone
-// collections admit concurrently (the ZoneScheduler tags them with the
+// collections run concurrently (the ZoneRecorder tags them with the
 // session id and reports how many distinct sessions it saw collecting at
 // once).
 //

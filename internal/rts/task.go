@@ -129,10 +129,10 @@ func (t *Task) chunkCache() *mem.ChunkCache {
 
 // collectLocal collects the worker-local heap in Manticore mode, rooted by
 // every task hosted on this worker (all suspended except the caller). The
-// local lock excludes cross-worker promotions out of this heap; routing
-// through the zone scheduler makes the local heaps' natural concurrency
-// (disjoint per-worker zones under the shared global heap) show up in the
-// same counters as ParMem's.
+// local lock excludes cross-worker promotions out of this heap, and makes
+// this worker the heap's only collector. Recording it as a zone makes the
+// local heaps' natural concurrency (disjoint per-worker zones under the
+// shared global heap) show up in the same counters as ParMem's.
 func (t *Task) collectLocal() {
 	start := time.Now()
 	ws := t.ws
@@ -141,7 +141,7 @@ func (t *Task) collectLocal() {
 	for ht := range ws.tasks {
 		roots = append(roots, ht.roots...)
 	}
-	stats := t.rt.zones.CollectZone(t.chunkCache(), []*heap.Heap{ws.heap}, roots, gc.LeafZone)
+	stats := t.rt.zones.Collect(t.chunkCache(), 0, ws.heap, roots, gc.LeafZone)
 	ws.localMu.Unlock()
 	t.gcNanos += time.Since(start).Nanoseconds()
 	t.gcStats.Add(stats)

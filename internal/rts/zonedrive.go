@@ -11,9 +11,9 @@ import (
 // The hierarchical (ParMem) collection driver. Unlike the stop-the-world
 // rendezvous in gcdrive.go, nothing here parks other workers: a collection
 // targets a zone — a heap with no live descendants — and runs inline on
-// the task that owns it, holding only the zone's write locks through the
-// runtime's ZoneScheduler. Workers in other subtrees keep allocating,
-// mutating, promoting, and stealing; disjoint zones collect concurrently.
+// the task that owns it, holding only the zone heap's write lock. Workers in
+// other subtrees keep allocating, mutating, promoting, and stealing; zones
+// of different tasks collect concurrently, with nothing to admit them.
 //
 // Two triggers produce zones:
 //
@@ -35,19 +35,18 @@ import (
 // so pending frames' envs always point outside the zone, and the
 // collector never writes a slot whose pointer did not move (gc.CopyRoot).
 
-// collectZone collects the given zone through the runtime's scheduler,
-// rooted by the task's shadow stack, charging the elapsed time (admission
-// wait included) to this task's GC account. The zone is tagged with the
-// task's session, so the scheduler can report how many distinct sessions
-// collected concurrently (the serving layer's cross-request GC
-// concurrency).
-func (t *Task) collectZone(zone []*heap.Heap, kind gc.ZoneKind) {
+// collectZone collects the heap h as a zone, rooted by the task's shadow
+// stack, charging the elapsed time to this task's GC account. The zone is
+// tagged with the task's session, so the recorder can report how many
+// distinct sessions collected concurrently (the serving layer's
+// cross-request GC concurrency).
+func (t *Task) collectZone(h *heap.Heap, kind gc.ZoneKind) {
 	start := time.Now()
 	var fam uint64
 	if t.ses != nil {
 		fam = t.ses.id
 	}
-	stats := t.rt.zones.CollectSessionZone(t.chunkCache(), fam, zone, t.roots, kind)
+	stats := t.rt.zones.Collect(t.chunkCache(), fam, h, t.roots, kind)
 	t.gcNanos += time.Since(start).Nanoseconds()
 	t.gcStats.Add(stats)
 }
@@ -63,7 +62,7 @@ func (t *Task) maybeCollectJoin(extra ...*mem.ObjPtr) {
 		return
 	}
 	mark := t.PushRoot(extra...)
-	t.collectZone([]*heap.Heap{t.sh.Current()}, gc.JoinZone)
+	t.collectZone(t.sh.Current(), gc.JoinZone)
 	t.PopRoots(mark)
 }
 

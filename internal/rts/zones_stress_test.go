@@ -128,30 +128,6 @@ func TestConcurrentZoneCollections(t *testing.T) {
 	}
 }
 
-// TestMaxConcurrentZonesSerializes checks the ablation knob: with the cap
-// at 1 the same workload must never overlap two collections. This is a
-// deterministic property of admission, not of scheduling.
-func TestMaxConcurrentZonesSerializes(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	cfg := DefaultConfig(ParMem, 4)
-	cfg.Policy = gc.Policy{MinWords: 4096, Ratio: 1.2}
-	cfg.MaxConcurrentZones = 1
-
-	ok, st := runZoneStress(t, cfg, 4, 1500)
-	if ok != 1 {
-		t.Fatal("data corruption with serialized collections")
-	}
-	if st.Zones.Zones == 0 {
-		t.Fatal("no zone collections ran")
-	}
-	if st.Zones.MaxConcurrent > 1 {
-		t.Fatalf("cap of 1 violated: MaxConcurrent = %d", st.Zones.MaxConcurrent)
-	}
-	if st.Zones.OverlapNanos != 0 {
-		t.Fatalf("serialized run recorded overlap: %+v", st.Zones)
-	}
-}
-
 // TestJoinZoneCollectionRuns checks internal-node collection: on a single
 // worker (deterministic inline execution) a parallel tree build with a
 // tiny policy must trigger collections of merged ancestors at join

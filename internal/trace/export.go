@@ -119,13 +119,12 @@ func spanArgs(typ Type, begAux uint32, begArg uint64, endAux uint32, endArg uint
 	a := map[string]any{}
 	switch typ {
 	case EvZone:
-		kind := int(begAux & 0xff)
+		kind := int(begAux)
 		if kind < len(zoneKindNames) {
 			a["kind"] = zoneKindNames[kind]
 		} else {
 			a["kind"] = kind
 		}
-		a["stripe"] = begAux >> 8
 		a["heap"] = begArg
 		a["words"] = endArg
 	case EvClimb:

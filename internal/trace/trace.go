@@ -31,7 +31,7 @@ type Type uint8
 
 const (
 	EvNone       Type = iota
-	EvZone            // zone collection (span): aux = kind|stripe<<8, beg arg = base heap ID, end arg = words copied
+	EvZone            // zone collection (span): aux = kind, beg arg = base heap ID, end arg = words copied
 	EvClimb           // promotion lock climb. Complete span (climbs >= 1us): arg = locked depth, span word = duration. Instant (coalesced sub-us climbs): aux = count<<8 | max depth, arg = total nanos
 	EvSession         // session lifetime (span): arg = session ID, end aux = outcome (0 ok, 1 failed)
 	EvSubmit          // session submitted (instant): arg = session ID
