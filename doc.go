@@ -3,7 +3,7 @@
 // PPoPP 2018).
 //
 // The public API is package hh: a typed, scope-safe façade — generic
-// Run/Fork2/ForkN, functional-option runtimes, lexically scoped GC roots
+// Run/Fork2, functional-option runtimes, lexically scoped GC roots
 // (Ref/Scope), and concurrent root-level sessions (Submit/Wait with
 // wholesale reclamation) — over the engine layers. Package hh/serve adds
 // the serving policy (admission control, backpressure, budgets, latency

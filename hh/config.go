@@ -72,15 +72,6 @@ func WithGCPolicy(minWords int64, ratio float64) Option {
 	return func(c *rts.Config) { c.Policy = gc.Policy{MinWords: minWords, Ratio: ratio} }
 }
 
-// WithSTWTrigger sets the stop-the-world trigger (STW mode): collect when
-// global occupancy exceeds max(floorBytes, ratio × live-after-last-GC).
-func WithSTWTrigger(floorBytes int64, ratio float64) Option {
-	return func(c *rts.Config) {
-		c.STWFloorBytes = floorBytes
-		c.STWRatio = ratio
-	}
-}
-
 // WithoutGC disables collection entirely (GC-overhead ablations).
 func WithoutGC() Option {
 	return func(c *rts.Config) { c.DisableGC = true }

@@ -60,7 +60,7 @@
 //
 // # Forks and environments
 //
-// Closures passed to [Fork2], [ForkN], [ParDo], [ParSum], or [Tabulate]
+// Closures passed to [Fork2], [ParDo], [ParSum], or [Tabulate]
 // must not capture Ptr or Ref values: a stolen arm runs as a different
 // task (possibly on a different worker, against a promoted copy of the
 // data), so captured handles would bypass both promotion and root

@@ -109,24 +109,3 @@ func Fork2[A, B any](t *Task, env Binding, f func(t *Task, e *Env) A, g func(t *
 	finishResult(&rb, pb)
 	return ra, rb
 }
-
-// ForkN runs every arm in parallel and returns their results in arm
-// order. Unlike a binary fork tree, all arms after the first are
-// published as independently stealable frames at once (the engine's
-// n-ary fork-join). Environment and capture rules are as for Fork2.
-func ForkN[T any](t *Task, env Binding, arms ...func(t *Task, e *Env) T) []T {
-	out := make([]T, len(arms))
-	if len(arms) == 0 {
-		return out
-	}
-	packed := t.packEnv(env)
-	thunks := make([]rts.Thunk, len(arms))
-	for i, f := range arms {
-		thunks[i] = armThunk(t.r, len(env), f, &out[i])
-	}
-	ps := t.inner.ForkJoinN(packed, thunks...)
-	for i := range out {
-		finishResult(&out[i], ps[i])
-	}
-	return out
-}

@@ -138,55 +138,92 @@ func TestFork2EnvThreading(t *testing.T) {
 	}
 }
 
-func TestForkNUnderSteals(t *testing.T) {
+// forkWords runs arms through a binary fork tree and returns their
+// results in arm order.
+func forkWords(task *Task, arms []func(*Task) uint64) []uint64 {
+	if len(arms) == 1 {
+		return []uint64{arms[0](task)}
+	}
+	mid := len(arms) / 2
+	l, r := Fork2(task, nil,
+		func(task *Task, _ *Env) []uint64 { return forkWords(task, arms[:mid]) },
+		func(task *Task, _ *Env) []uint64 { return forkWords(task, arms[mid:]) })
+	return append(l, r...)
+}
+
+// forkPtrs runs at least two arms through a binary fork tree, threading
+// env to every arm, and returns their results as a tree: each join
+// allocates a node over its two subtrees (the way seq.ParCollect does),
+// so every result stays rooted across the arms that run after it.
+func forkPtrs(task *Task, env Ref, arms []func(*Task, *Env) Ptr) Ptr {
+	half := func(arms []func(*Task, *Env) Ptr) func(*Task, *Env) Ptr {
+		if len(arms) == 1 {
+			return arms[0]
+		}
+		return func(task *Task, e *Env) Ptr { return forkPtrs(task, e.Ref(0), arms) }
+	}
+	mid := len(arms) / 2
+	l, r := Fork2(task, Bind(env), half(arms[:mid]), half(arms[mid:]))
+	var out Ptr
+	task.Scoped(func(s *Scope) {
+		lr, rr := s.Ref(l), s.Ref(r)
+		node := task.Alloc(2, 0, TagNode)
+		task.InitPtr(node, 0, lr.Get())
+		task.InitPtr(node, 1, rr.Get())
+		out = node
+	})
+	return out
+}
+
+// sumArmResults sums word 0 of every arm result in a forkPtrs tree.
+func sumArmResults(task *Task, p Ptr) uint64 {
+	if task.TagOf(p) == TagNode {
+		return sumArmResults(task, task.ReadImmPtr(p, 0)) + sumArmResults(task, task.ReadImmPtr(p, 1))
+	}
+	return task.ReadImmWord(p, 0)
+}
+
+func TestForkTreeUnderSteals(t *testing.T) {
+	// The steal is made certain: the first arm holds its worker until a
+	// second arm is running, which only a thief can make happen.
 	const arms = 8
-	deadline := time.Now().Add(5 * time.Second)
-	for attempt := 0; ; attempt++ {
-		r := New(WithMode(ParMem), WithProcs(4), WithGCPolicy(4096, 1.5))
-		var running atomic.Int64
-		results := Run(r, func(task *Task) []uint64 {
-			fs := make([]func(*Task, *Env) uint64, arms)
-			for i := range fs {
-				i := i
-				fs[i] = func(task *Task, _ *Env) uint64 {
-					// Hold the arm open until a second arm is running, so at
-					// least one steal must have happened (arms only run
-					// concurrently on distinct workers).
-					running.Add(1)
-					for spin := 0; running.Load() < 2 && spin < 1<<22; spin++ {
-						runtime.Gosched()
-					}
-					var sum uint64
-					task.Scoped(func(s *Scope) {
-						rope := s.Ref(buildRope(task, 5, uint64(i)))
-						sum = sumRope(task, rope.Get())
-					})
-					return sum
+	r := New(WithMode(ParMem), WithProcs(4), WithGCPolicy(4096, 1.5))
+	var started atomic.Int64
+	results := Run(r, func(task *Task) []uint64 {
+		fs := make([]func(*Task) uint64, arms)
+		for i := range fs {
+			i := i
+			fs[i] = func(task *Task) uint64 {
+				started.Add(1)
+				for deadline := time.Now().Add(10 * time.Second); i == 0 && started.Load() < 2 && time.Now().Before(deadline); {
+					runtime.Gosched()
 				}
-			}
-			return ForkN(task, nil, fs...)
-		})
-		st := r.Stats()
-		r.Close()
-		want := make([]uint64, arms)
-		for i := range want {
-			want[i] = uint64(i) << 5
-		}
-		for i := range results {
-			if results[i] != want[i] {
-				t.Fatalf("arm %d: got %d, want %d (results %v)", i, results[i], want[i], results)
+				var sum uint64
+				task.Scoped(func(s *Scope) {
+					rope := s.Ref(buildRope(task, 5, uint64(i)))
+					sum = sumRope(task, rope.Get())
+				})
+				return sum
 			}
 		}
-		if st.Steals > 0 {
-			return // the property held under real steals
+		return forkWords(task, fs)
+	})
+	st := r.Stats()
+	r.Close()
+	if len(results) != arms {
+		t.Fatalf("got %d results, want %d", len(results), arms)
+	}
+	for i := range results {
+		if want := uint64(i) << 5; results[i] != want {
+			t.Fatalf("arm %d: got %d, want %d (results %v)", i, results[i], want, results)
 		}
-		if time.Now().After(deadline) {
-			t.Skipf("no steals observed in %d attempts; ForkN correctness still validated", attempt+1)
-		}
+	}
+	if st.Steals == 0 {
+		t.Fatal("no thief took an arm within 10 s")
 	}
 }
 
-func TestForkNPtrResultsAllModes(t *testing.T) {
+func TestForkTreePtrResultsAllModes(t *testing.T) {
 	const arms = 6
 	for _, mode := range Modes {
 		procs := 4
@@ -218,9 +255,7 @@ func TestForkNPtrResultsAllModes(t *testing.T) {
 						return box
 					}
 				}
-				for _, p := range ForkN(task, Bind(seed), fs...) {
-					out += task.ReadImmWord(p, 0)
-				}
+				out = sumArmResults(task, forkPtrs(task, seed, fs))
 			})
 			return out
 		})
@@ -231,7 +266,7 @@ func TestForkNPtrResultsAllModes(t *testing.T) {
 			want += uint64(i)*1000 + 100
 		}
 		if got != want {
-			t.Fatalf("%v: ForkN sum = %d, want %d", mode, got, want)
+			t.Fatalf("%v: forked arms sum = %d, want %d", mode, got, want)
 		}
 		if st.GC.Collections == 0 {
 			t.Fatalf("%v: expected collections under aggressive policy", mode)

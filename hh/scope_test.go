@@ -1,13 +1,19 @@
 package hh
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/rts"
+)
 
 // aggressive returns options that force frequent collections so the tests
-// exercise root slots actually being updated.
+// exercise root slots actually being updated. The stop-the-world floor has
+// no option of its own; a 256 KiB floor makes the STW leg collect too.
 func aggressive(mode Mode, procs int) []Option {
 	return []Option{
 		WithMode(mode), WithProcs(procs),
-		WithGCPolicy(2048, 1.5), WithSTWTrigger(1<<18, 2.0),
+		WithGCPolicy(2048, 1.5),
+		func(c *rts.Config) { c.STWFloorBytes, c.STWRatio = 1<<18, 2.0 },
 	}
 }
 

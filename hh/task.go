@@ -42,7 +42,7 @@ const (
 )
 
 // Task is one user-level thread: the execution context handed to the
-// closures of Run, Fork2, ForkN, and the parallel combinators. All memory
+// closures of Run, Fork2, and the parallel combinators. All memory
 // operations and scopes go through the task.
 type Task struct {
 	r     *Runtime

@@ -22,16 +22,19 @@ type Thunk func(t *Task, env mem.ObjPtr) mem.ObjPtr
 // the result is never treated as a pointer.
 type ScalarThunk func(t *Task, env mem.ObjPtr) uint64
 
-// frame carries a forkjoin's stealable half and its join state.
+// frame carries a forkjoin's stealable right arm, the root slots of its
+// env and pointer results, and its join state. The results live here, in
+// the one heap object every parallel fork allocates anyway, so rooting
+// them costs no Go allocation of its own.
 type frame struct {
 	sf       *sched.Frame
-	ses      *Session // session the fork belongs to
+	owner    *Task // forking task: its runtime, session and worker state
 	env      mem.ObjPtr
-	result   mem.ObjPtr
-	scalar   uint64
+	left     mem.ObjPtr      // left arm's pointer result
+	result   mem.ObjPtr      // right arm's pointer result
+	scalar   uint64          // right arm's word result
 	childSH  *heap.Superheap // ParMem: the thief's superheap, adopted at join
 	forkHeap *heap.Heap      // ParMem: heap at the fork point
-	ownerWS  *workerState    // Manticore: victim's worker state
 }
 
 // publish makes fr stealable: it charges the frame to the session's
@@ -39,7 +42,6 @@ type frame struct {
 // it on the worker deque, and records it on the task's pending list for
 // the abort-time drain.
 func (t *Task) publish(fr *frame) {
-	fr.ses = t.ses
 	if t.ses != nil {
 		t.ses.outstanding.Add(1)
 	}
@@ -78,217 +80,114 @@ func (t *Task) popHeap() {
 }
 
 // ForkJoin runs f and g in parallel (Figure 5) and returns both results.
-// Heap management per Appendix B: the superheap gains a level for the fork;
-// if g is stolen the thief builds a child superheap that the parent adopts
-// and joins at the join point. env is passed to both arms — the stolen arm
-// may receive a promoted copy (Manticore mode).
+// env is passed to both arms — the stolen arm may receive a promoted copy
+// (Manticore mode).
 func (t *Task) ForkJoin(env mem.ObjPtr, f, g Thunk) (mem.ObjPtr, mem.ObjPtr) {
-	r := t.rt
-	if r.cfg.Mode == Seq {
-		mark := t.PushRoot(&env)
-		rf := f(t, env)
-		t.PushRoot(&rf)
-		rg := g(t, env)
-		t.PopRoots(mark)
-		return rf, rg
+	l, r, _, _ := t.forkJoin(env, f, g, nil, nil)
+	return l, r
+}
+
+// ForkJoinScalar is ForkJoin for raw-word results.
+func (t *Task) ForkJoinScalar(env mem.ObjPtr, f, g ScalarThunk) (uint64, uint64) {
+	_, _, l, r := t.forkJoin(env, nil, nil, f, g)
+	return l, r
+}
+
+// runArm runs one arm on t and stores its result: a pointer arm's in *p,
+// a word arm's in *w. Exactly one of f and fw is non-nil.
+func runArm(t *Task, env mem.ObjPtr, f Thunk, fw ScalarThunk, p *mem.ObjPtr, w *uint64) {
+	if f != nil {
+		*p = f(t, env)
+	} else {
+		*w = fw(t, env)
 	}
-	fr := &frame{env: env, ownerWS: t.ws}
-	mark := t.PushRoot(&fr.env)
-	if r.cfg.Mode == STW {
+}
+
+// forkJoin is the fork-join protocol behind both entry points: pointer
+// arms (f, g) or word arms (fw, gw), the other pair nil. Heap management
+// per Appendix B: the superheap gains a level for the fork; if the right
+// arm is stolen the thief bases a child superheap at the fork heap, which
+// the parent adopts and joins at the join point; the popped level is then
+// a zone with no live descendants, collected if its policy says so.
+func (t *Task) forkJoin(env mem.ObjPtr, f, g Thunk, fw, gw ScalarThunk) (l, r mem.ObjPtr, lw, rw uint64) {
+	rt := t.rt
+	if rt.cfg.Mode == Seq {
+		// Both arms run inline. The root slots are boxed here, in the
+		// branch, so that a word fork costs one 8-byte box and the parallel
+		// path's locals stay on the stack.
+		e := env
+		mark := t.PushRoot(&e)
+		if f != nil {
+			left := f(t, e)
+			t.PushRoot(&left)
+			r = g(t, e)
+			l = left
+		} else {
+			lw = fw(t, e)
+			rw = gw(t, e)
+		}
+		t.PopRoots(mark)
+		return l, r, lw, rw
+	}
+	fr := &frame{owner: t, env: env}
+	mark := t.PushRoot(&fr.env, &fr.left)
+	if rt.cfg.Mode == STW {
 		// Only the stop-the-world collector may need to relocate a stolen
 		// result (everything is parked when it runs). In ParMem the result
 		// sits in the thief's heap, which is never collected before the
 		// join; in Manticore it is promoted to the global heap first.
 		t.PushRoot(&fr.result)
 	}
-	if r.gcFlag.Load() {
+	if rt.gcFlag.Load() {
 		// Fork safe point. This must come after fr.env is rooted: parking
 		// here hands the collector a window to move (or reclaim) anything
 		// unregistered, and env would otherwise be held only in Go locals.
 		t.stopForGCTask()
 	}
-	if r.cfg.Mode == ParMem {
+	if rt.cfg.Mode == ParMem {
 		fr.forkHeap = t.sh.Current()
 		t.pushHeap()
 	}
 	fr.sf = sched.NewFrame(func(thief *sched.Worker) {
-		r.runStolen(fr, g, thief)
+		fr.runStolen(thief, g, gw)
 	})
 	t.publish(fr)
-	rf := f(t, fr.env)
-	t.PushRoot(&rf)
-	var rg mem.ObjPtr
-	if popped := t.w.PopBottom(); popped == fr.sf {
-		t.joined(fr, true)
-		rg = g(t, fr.env)
-	} else {
-		if popped != nil {
-			panic("rts: foreign frame popped at join")
-		}
-		t.joined(fr, false)
+	runArm(t, fr.env, f, fw, &fr.left, &lw)
+	popped := t.w.PopBottom()
+	stolen := popped != fr.sf
+	if stolen && popped != nil {
+		panic("rts: foreign frame popped at join")
+	}
+	t.joined(fr, !stolen)
+	if stolen {
 		t.w.WaitHelp(fr.sf)
-		rg = fr.result
-		if r.cfg.Mode == ParMem {
+	} else {
+		runArm(t, fr.env, g, gw, &fr.result, &fr.scalar)
+	}
+	if rt.cfg.Mode == ParMem {
+		if stolen {
 			t.sh.AdoptJoin(fr.childSH)
 		}
-	}
-	if r.cfg.Mode == ParMem {
 		t.sh.PopJoin()
 		t.popHeap()
 		// Internal-node collection: the merged ancestor has no live
-		// descendants left, so it is a valid zone. rf is already rooted;
-		// rg is not yet.
-		t.maybeCollectJoin(&rg)
+		// descendants left, so it is a valid zone. The left result is
+		// already rooted; the right one is not yet.
+		t.maybeCollectJoin(&fr.result)
 	}
 	t.PopRoots(mark)
-	return rf, rg
+	return fr.left, fr.result, lw, fr.scalar
 }
 
-// ForkJoinScalar is ForkJoin for raw-word results.
-func (t *Task) ForkJoinScalar(env mem.ObjPtr, f, g ScalarThunk) (uint64, uint64) {
-	r := t.rt
-	if r.cfg.Mode == Seq {
-		mark := t.PushRoot(&env)
-		rf := f(t, env)
-		rg := g(t, env)
-		t.PopRoots(mark)
-		return rf, rg
-	}
-	fr := &frame{env: env, ownerWS: t.ws}
-	mark := t.PushRoot(&fr.env)
-	if r.gcFlag.Load() {
-		t.stopForGCTask() // fork safe point; env is rooted above
-	}
-	if r.cfg.Mode == ParMem {
-		fr.forkHeap = t.sh.Current()
-		t.pushHeap()
-	}
-	fr.sf = sched.NewFrame(func(thief *sched.Worker) {
-		r.runStolenScalar(fr, g, thief)
-	})
-	t.publish(fr)
-	rf := f(t, fr.env)
-	var rg uint64
-	if popped := t.w.PopBottom(); popped == fr.sf {
-		t.joined(fr, true)
-		rg = g(t, fr.env)
-	} else {
-		if popped != nil {
-			panic("rts: foreign frame popped at join")
-		}
-		t.joined(fr, false)
-		t.w.WaitHelp(fr.sf)
-		rg = fr.scalar
-		if r.cfg.Mode == ParMem {
-			t.sh.AdoptJoin(fr.childSH)
-		}
-	}
-	if r.cfg.Mode == ParMem {
-		t.sh.PopJoin()
-		t.popHeap()
-		t.maybeCollectJoin() // scalar results need no extra roots
-	}
-	t.PopRoots(mark)
-	return rf, rg
-}
-
-// ForkJoinN runs n thunks in parallel and returns all n results. Unlike a
-// binary fork tree, every arm after the first is published as its own
-// stealable frame before any arm runs, so up to n-1 thieves can start
-// immediately instead of waiting for the right spine to unfold.
-//
-// Heap management follows the same Appendix B discipline as ForkJoin: the
-// superheap gains one level for the whole fork, every stolen arm bases a
-// child superheap at the fork-point heap (making the arms siblings in the
-// hierarchy), and each join adopts the thief's superheap back. After the
-// last arm joins, the level pops and the merged ancestor is considered for
-// internal-node collection.
-func (t *Task) ForkJoinN(env mem.ObjPtr, fs ...Thunk) []mem.ObjPtr {
-	n := len(fs)
-	res := make([]mem.ObjPtr, n)
-	if n == 0 {
-		return res
-	}
-	r := t.rt
-	if n == 1 || r.cfg.Mode == Seq {
-		mark := t.PushRoot(&env)
-		for i, f := range fs {
-			res[i] = f(t, env)
-			t.PushRoot(&res[i]) // earlier results stay rooted across later arms
-		}
-		t.PopRoots(mark)
-		return res
-	}
-	frames := make([]*frame, n) // frames[0] stays nil: arm 0 runs inline
-	mark := t.PushRoot(&env)
-	for i := 1; i < n; i++ {
-		fr := &frame{env: env, ownerWS: t.ws}
-		frames[i] = fr
-		t.PushRoot(&fr.env)
-		if r.cfg.Mode == STW {
-			// See ForkJoin: only the stop-the-world collector may need to
-			// relocate a stolen result before the join observes it.
-			t.PushRoot(&fr.result)
-		}
-	}
-	if r.gcFlag.Load() {
-		t.stopForGCTask() // fork safe point; every frame env is rooted above
-	}
-	if r.cfg.Mode == ParMem {
-		forkHeap := t.sh.Current()
-		for i := 1; i < n; i++ {
-			frames[i].forkHeap = forkHeap
-		}
-		t.pushHeap()
-	}
-	for i := 1; i < n; i++ {
-		fr, g := frames[i], fs[i]
-		fr.sf = sched.NewFrame(func(thief *sched.Worker) {
-			r.runStolen(fr, g, thief)
-		})
-		t.publish(fr)
-	}
-	res[0] = fs[0](t, env)
-	t.PushRoot(&res[0])
-	// Join in LIFO order: the deque pops the most recently published frame
-	// first, so un-stolen arms run inline in publish-reverse order while
-	// thieves drain the earlier arms from the top.
-	for i := n - 1; i >= 1; i-- {
-		fr := frames[i]
-		if popped := t.w.PopBottom(); popped == fr.sf {
-			t.joined(fr, true)
-			res[i] = fs[i](t, fr.env)
-		} else {
-			if popped != nil {
-				panic("rts: foreign frame popped at join")
-			}
-			t.joined(fr, false)
-			t.w.WaitHelp(fr.sf)
-			res[i] = fr.result
-			if r.cfg.Mode == ParMem {
-				t.sh.AdoptJoin(fr.childSH)
-			}
-		}
-		t.PushRoot(&res[i]) // rooted across the remaining inline arms
-	}
-	if r.cfg.Mode == ParMem {
-		t.sh.PopJoin()
-		t.popHeap()
-		t.maybeCollectJoin() // all results are rooted above
-	}
-	t.PopRoots(mark)
-	return res
-}
-
-// runStolenFrame is the shell shared by both stolen-frame runners: it
-// builds the stolen task in the victim's session, wires the thief's
-// superheap into the frame for the join, and applies the session harness
-// — abort fast path, panic containment (Session.guard), and the strict
-// teardown order: guard's recover/drain, then task finish, then the
-// frame's outstanding count (which is what finally lets reclamation
-// proceed).
-func (r *Runtime) runStolenFrame(fr *frame, thief *sched.Worker, body func(st *Task)) {
-	ses := fr.ses
+// runStolen runs fr's right arm (g or gw) on a thief. The stolen task
+// joins the victim's session: it counts against the session's
+// outstanding frames (consumed here, not at the victim's join), checks the
+// session's abort flag, and converts its own panics into the session's
+// failure instead of crashing the worker. Teardown order is strict:
+// guard's recover/drain, then task finish, then the frame's outstanding
+// count (which is what finally lets reclamation proceed).
+func (fr *frame) runStolen(thief *sched.Worker, g Thunk, gw ScalarThunk) {
+	r, ses := fr.owner.rt, fr.owner.ses
 	if ses != nil {
 		defer ses.frameDone() // last: runs after st.finish
 	}
@@ -297,44 +196,23 @@ func (r *Runtime) runStolenFrame(fr *frame, thief *sched.Worker, body func(st *T
 		fr.childSH = st.sh
 	}
 	defer st.finish()
-	if ses != nil {
-		if ses.aborted.Load() {
-			return // session already failed; leave the arm unrun
-		}
-		ses.guard(st, func() { body(st) })
-		return
-	}
-	body(st)
-}
-
-// runStolen executes a stolen pointer-result frame on the thief. The
-// stolen task joins the victim's session: it counts against the session's
-// outstanding frames (consumed here, not at the victim's join), checks the
-// session's abort flag, and converts its own panics into the session's
-// failure instead of crashing the worker.
-func (r *Runtime) runStolen(fr *frame, g Thunk, thief *sched.Worker) {
-	r.runStolenFrame(fr, thief, func(st *Task) {
-		env := r.stolenEnv(fr, st)
+	run := func() {
+		env := fr.stolenEnv(st)
 		mark := st.PushRoot(&env)
-		res := g(st, env)
+		runArm(st, env, g, gw, &fr.result, &fr.scalar)
 		st.PopRoots(mark)
-		if r.cfg.Mode == Manticore && !res.IsNil() && heap.Of(res).Depth() > 0 {
+		if r.cfg.Mode == Manticore && !fr.result.IsNil() && heap.Of(fr.result).Depth() > 0 {
 			// Result communication to another worker promotes the result's
 			// object graph to the shared global heap (DLG invariant).
-			res = core.PromoteTo(st.chunkCache(), &st.Ops, r.rootHeap, res)
+			fr.result = core.PromoteTo(st.chunkCache(), &st.Ops, r.rootHeap, fr.result)
 		}
-		fr.result = res
-	})
-}
-
-// runStolenScalar executes a stolen scalar-result frame on the thief.
-func (r *Runtime) runStolenScalar(fr *frame, g ScalarThunk, thief *sched.Worker) {
-	r.runStolenFrame(fr, thief, func(st *Task) {
-		env := r.stolenEnv(fr, st)
-		mark := st.PushRoot(&env)
-		fr.scalar = g(st, env)
-		st.PopRoots(mark)
-	})
+	}
+	switch {
+	case ses == nil:
+		run()
+	case !ses.aborted.Load(): // an aborted session leaves the arm unrun
+		ses.guard(st, run)
+	}
 }
 
 // stolenEnv resolves the environment seen by a stolen frame. In Manticore
@@ -342,11 +220,12 @@ func (r *Runtime) runStolenScalar(fr *frame, g ScalarThunk, thief *sched.Worker)
 // local-heap lock (steal-time communication); the lock also orders the read
 // of fr.env against the victim's local collections, which update the
 // frame's rooted env slot in place.
-func (r *Runtime) stolenEnv(fr *frame, st *Task) mem.ObjPtr {
+func (fr *frame) stolenEnv(st *Task) mem.ObjPtr {
+	r := fr.owner.rt
 	if r.cfg.Mode != Manticore {
 		return fr.env
 	}
-	ws := fr.ownerWS
+	ws := fr.owner.ws
 	ws.localMu.Lock()
 	env := fr.env
 	if !env.IsNil() && heap.Of(env).Depth() > 0 {

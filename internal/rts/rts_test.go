@@ -396,7 +396,35 @@ func TestOneActiveRuntimeEnforced(t *testing.T) {
 	r2.Close()
 }
 
-func TestForkJoinNAllModes(t *testing.T) {
+// forkArms runs every arm through a binary fork tree and returns the
+// arms' results as a tree: each join allocates a node over its two
+// subtrees (the way seq.ParCollect does), so every result stays rooted
+// across the arms that run after it.
+func forkArms(t *Task, env mem.ObjPtr, arms []Thunk) mem.ObjPtr {
+	if len(arms) == 1 {
+		return arms[0](t, env)
+	}
+	mid := len(arms) / 2
+	l, r := t.ForkJoin(env,
+		func(t *Task, env mem.ObjPtr) mem.ObjPtr { return forkArms(t, env, arms[:mid]) },
+		func(t *Task, env mem.ObjPtr) mem.ObjPtr { return forkArms(t, env, arms[mid:]) })
+	mark := t.PushRoot(&l, &r)
+	n := t.Alloc(2, 0, mem.TagNode)
+	t.PopRoots(mark)
+	t.WriteInitPtr(n, 0, l)
+	t.WriteInitPtr(n, 1, r)
+	return n
+}
+
+// sumArmResults sums word 0 of every arm result in a forkArms tree.
+func sumArmResults(t *Task, p mem.ObjPtr) uint64 {
+	if mem.TagOf(p) == mem.TagNode {
+		return sumArmResults(t, t.ReadImmPtr(p, 0)) + sumArmResults(t, t.ReadImmPtr(p, 1))
+	}
+	return t.ReadImmWord(p, 0)
+}
+
+func TestForkArmsAllModes(t *testing.T) {
 	const arms = 5
 	for _, mode := range allModes {
 		for _, procs := range []int{1, 4} {
@@ -424,13 +452,9 @@ func TestForkJoinNAllModes(t *testing.T) {
 						return box
 					}
 				}
-				res := task.ForkJoinN(env, fs...)
+				res := forkArms(task, env, fs)
 				task.PopRoots(mark)
-				var sum uint64
-				for _, p := range res {
-					sum += task.ReadImmWord(p, 0)
-				}
-				return sum
+				return sumArmResults(task, res)
 			})
 			st := r.Stats()
 			r.Close()
@@ -439,7 +463,7 @@ func TestForkJoinNAllModes(t *testing.T) {
 				want += uint64(i)*1000 + (1 << 6) + 100
 			}
 			if got != want {
-				t.Fatalf("%v procs=%d: ForkJoinN sum = %d, want %d", mode, procs, got, want)
+				t.Fatalf("%v procs=%d: forked arms sum = %d, want %d", mode, procs, got, want)
 			}
 			if st.Ops.Allocs == 0 {
 				t.Fatalf("%v: no allocations recorded", mode)
@@ -448,7 +472,7 @@ func TestForkJoinNAllModes(t *testing.T) {
 	}
 }
 
-func TestForkJoinNCollectsUnderPressure(t *testing.T) {
+func TestForkArmsCollectUnderPressure(t *testing.T) {
 	// Aggressive policy + garbage churn inside every arm: results and envs
 	// must survive leaf and join collections in every mode.
 	for _, mode := range allModes {
@@ -472,12 +496,7 @@ func TestForkJoinNCollectsUnderPressure(t *testing.T) {
 					return keep
 				}
 			}
-			res := task.ForkJoinN(mem.NilPtr, fs...)
-			var sum uint64
-			for _, p := range res {
-				sum += task.ReadImmWord(p, 0)
-			}
-			return sum
+			return sumArmResults(task, forkArms(task, mem.NilPtr, fs))
 		})
 		st := r.Stats()
 		r.Close()

@@ -197,7 +197,7 @@ func TestSessionBudgetAbortsForkedArms(t *testing.T) {
 						return mem.NilPtr
 					})
 				}
-				task.ForkJoinN(mem.NilPtr, arms...)
+				forkArms(task, mem.NilPtr, arms)
 				return 1
 			})
 			if _, err := s.Wait(); !errors.Is(err, ErrBudgetExceeded) {
