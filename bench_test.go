@@ -2,10 +2,12 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/gc"
 	"repro/internal/mem"
 	"repro/internal/rts"
 )
@@ -133,7 +135,7 @@ func BenchmarkFig13(b *testing.B) {
 // hhbench -table fig8).
 func BenchmarkFig8Ops(b *testing.B) {
 	cfg := rts.DefaultConfig(rts.ParMem, 1)
-	cfg.DisableGC = true
+	cfg.Policy = gc.Policy{MinWords: math.MaxInt64} // collection off
 
 	type opCase struct {
 		name string
@@ -189,30 +191,6 @@ func BenchmarkFig8Ops(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWritePtrFastPath quantifies the write-barrier fast
-// paths the paper's implementation prioritizes (§3.3): tourney performs
-// one mutable pointer write per contestant, all local.
-func BenchmarkAblationWritePtrFastPath(b *testing.B) {
-	bm, err := bench.ByName("tourney")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, off := range []bool{false, true} {
-		name := "fast-path-on"
-		if off {
-			name = "fast-path-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := rts.DefaultConfig(rts.ParMem, runtime.NumCPU())
-			cfg.NoBarrierFastPath = off
-			sc := benchScale("tourney")
-			for i := 0; i < b.N; i++ {
-				bench.Run(bm, cfg, sc)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationGC isolates collection overhead on an allocation-heavy
 // pure workload.
 func BenchmarkAblationGC(b *testing.B) {
@@ -227,7 +205,9 @@ func BenchmarkAblationGC(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := rts.DefaultConfig(rts.ParMem, runtime.NumCPU())
-			cfg.DisableGC = off
+			if off {
+				cfg.Policy = gc.Policy{MinWords: math.MaxInt64}
+			}
 			sc := benchScale("msort-pure")
 			for i := 0; i < b.N; i++ {
 				bench.Run(bm, cfg, sc)

@@ -5,7 +5,6 @@
 // root-level session that is reclaimed wholesale at completion.
 //
 //	hhload -mode all -procs 4 -sessions 8 -requests 96
-//	hhload -mode all -nofastpath                       # barrier ablation
 //	hhload -mode all -mix txn=2,stream=1,rank=1 -txn-keys 16
 //	                                                   # transactional/streaming/analytics mix
 //	hhload -mode all -procs-sweep 2,8 -mix kv=2,bfs=1,hist=1,fan=1
@@ -60,8 +59,6 @@ func main() {
 	gcRatio := flag.Float64("gc-ratio", 1.25, "collection trigger: growth ratio")
 	minZoneSessions := flag.Int64("min-zone-sessions", 0,
 		"fail unless parmem observes this many sessions collecting concurrently (0 = off; needs a -size whose sessions pass the 1 MiB collection floor)")
-	noFast := flag.Bool("nofastpath", false,
-		"force every pointer write through the master-copy lookup (barrier fast-path ablation)")
 	procsSweep := flag.String("procs-sweep", "",
 		"comma-separated worker counts; run every mode at each P and require one checksum (overrides -procs)")
 	traceFile := flag.String("trace", "",
@@ -130,7 +127,7 @@ func main() {
 		}
 		for _, mode := range modes {
 			sum, ok := driveMode(mode, p, *sessions, *requests, *size, mix, *budget,
-				*gcMin, *gcRatio, *minZoneSessions, *noFast)
+				*gcMin, *gcRatio, *minZoneSessions)
 			if !ok {
 				failed = true
 			}
@@ -168,14 +165,9 @@ func main() {
 // driveMode runs one closed loop against one runtime mode and returns the
 // order-independent checksum of the whole request stream.
 func driveMode(mode hh.Mode, procs, sessions, requests, size int, mix load.Mix,
-	budget, gcMin int64, gcRatio float64, minZoneSessions int64,
-	noFast bool) (uint64, bool) {
+	budget, gcMin int64, gcRatio float64, minZoneSessions int64) (uint64, bool) {
 
-	opts := []hh.Option{hh.WithMode(mode), hh.WithProcs(procs), hh.WithGCPolicy(gcMin, gcRatio)}
-	if noFast {
-		opts = append(opts, hh.WithoutBarrierFastPath())
-	}
-	r := hh.New(opts...)
+	r := hh.New(hh.WithMode(mode), hh.WithProcs(procs), hh.WithGCPolicy(gcMin, gcRatio))
 	defer r.Close()
 	base := hh.ChunksInUse()
 	hierarchical := mode == hh.ParMem || mode == hh.Seq

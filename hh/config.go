@@ -2,6 +2,7 @@ package hh
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/gc"
@@ -72,19 +73,16 @@ func WithGCPolicy(minWords int64, ratio float64) Option {
 	return func(c *rts.Config) { c.Policy = gc.Policy{MinWords: minWords, Ratio: ratio} }
 }
 
-// WithoutGC disables collection entirely (GC-overhead ablations).
+// WithoutGC sets both collection triggers to a floor no heap reaches, the
+// per-heap policy's and the stop-the-world one's (math.MaxInt64), so
+// nothing is ever collected (GC-overhead ablations). Options apply in
+// order: a WithGCPolicy given after WithoutGC turns the per-heap trigger
+// of ParMem, Seq and Manticore back on; STW's stays off.
 func WithoutGC() Option {
-	return func(c *rts.Config) { c.DisableGC = true }
-}
-
-// WithoutBarrierFastPath forces every mutable pointer write through the
-// master-copy lookup under the heap read lock — the paper-faithful
-// baseline with neither the local-update fast path (§3.3) nor the
-// optimistic ancestor-pointee path. The ablation that measures what the
-// write-barrier fast paths buy (hhload -nofastpath,
-// BenchmarkAblationWritePtrFastPath).
-func WithoutBarrierFastPath() Option {
-	return func(c *rts.Config) { c.NoBarrierFastPath = true }
+	return func(c *rts.Config) {
+		c.Policy = gc.Policy{MinWords: math.MaxInt64}
+		c.STWFloorBytes = math.MaxInt64
+	}
 }
 
 // WithInvariantChecks makes every ParMem Task.InitPtr check that the

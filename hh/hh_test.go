@@ -217,3 +217,53 @@ func TestParseMode(t *testing.T) {
 		t.Fatal("ParseMode accepted garbage")
 	}
 }
+
+// TestWithoutGCCollectsNothing checks that WithoutGC leaves every trigger
+// unreachable in every mode, and that a WithGCPolicy given after it turns
+// ParMem's collection back on.
+func TestWithoutGCCollectsNothing(t *testing.T) {
+	for _, mode := range Modes {
+		r := New(WithMode(mode), WithProcs(2), WithoutGC())
+		if got := Run(r, allocHeavy); got != allocHeavyWant {
+			t.Errorf("%s: checksum %d, want %d", mode, got, allocHeavyWant)
+		}
+		st := r.Stats()
+		r.Close()
+		if st.Zones.Zones != 0 || st.GC.WordsCopied != 0 || st.GCNanos != 0 {
+			t.Errorf("%s under WithoutGC: %d zones, %d words copied, %d GC ns; want none",
+				mode, st.Zones.Zones, st.GC.WordsCopied, st.GCNanos)
+		}
+	}
+
+	r := New(WithMode(ParMem), WithProcs(2), WithoutGC(), WithGCPolicy(2048, 1.25))
+	defer r.Close()
+	if got := Run(r, allocHeavy); got != allocHeavyWant {
+		t.Errorf("checksum %d, want %d", got, allocHeavyWant)
+	}
+	if st := r.Stats(); st.Zones.Zones == 0 {
+		t.Error("WithGCPolicy after WithoutGC: no zone collected")
+	}
+}
+
+const allocHeavyWant = 8 * 40000
+
+// allocHeavy allocates about 13 MiB over eight forked leaves, past every
+// default trigger (1 MiB per heap, 8 MiB stop-the-world), while each leaf
+// keeps a list of its allocations live. It returns the lists' total length.
+func allocHeavy(task *Task) uint64 {
+	return ParSum(task, nil, 0, 8, 1, func(t *Task, _ *Env, lo, hi int) uint64 {
+		var n uint64
+		t.Scoped(func(s *Scope) {
+			list := s.Ref(Ptr{})
+			for i := 0; i < 40000; i++ {
+				cell := t.Alloc(1, 3, TagTuple)
+				t.InitPtr(cell, 0, list.Get())
+				list.Set(cell)
+			}
+			for p := list.Get(); !p.IsNil(); p = t.ReadImmPtr(p, 0) {
+				n++
+			}
+		})
+		return n
+	})
+}

@@ -159,12 +159,6 @@ func writeError(bw *bufio.Writer, code, msg string) {
 	bw.WriteString("\r\n")
 }
 
-func writeInt(bw *bufio.Writer, n int64) {
-	bw.WriteByte(':')
-	bw.WriteString(strconv.FormatInt(n, 10))
-	bw.WriteString("\r\n")
-}
-
 func writeBulk(bw *bufio.Writer, b []byte) {
 	bw.WriteByte('$')
 	bw.WriteString(strconv.Itoa(len(b)))

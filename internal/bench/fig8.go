@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gc"
 	"repro/internal/mem"
 	"repro/internal/rts"
 )
@@ -26,7 +28,7 @@ func Fig8Costs(iters int) []CostRow {
 		iters = 1
 	}
 	cfg := rts.DefaultConfig(rts.ParMem, 1)
-	cfg.DisableGC = true
+	cfg.Policy = gc.Policy{MinWords: math.MaxInt64} // collection off
 	r := rts.New(cfg)
 	defer r.Close()
 

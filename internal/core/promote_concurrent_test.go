@@ -21,9 +21,9 @@ func TestConcurrentPromotionsToSharedAncestor(t *testing.T) {
 }
 
 // TestConcurrentPromotionsSlowPathAblation runs the identical race with
-// every write forced through the master-copy lookup (the
-// NoBarrierFastPath ablation): the paper-faithful baseline must satisfy
-// the same invariants as the fast-pathed barrier.
+// every write forced through the master-copy lookup (WritePtrSlow, the
+// path WritePtr falls through to): the paper-faithful baseline must
+// satisfy the same invariants as the fast-pathed barrier.
 func TestConcurrentPromotionsSlowPathAblation(t *testing.T) {
 	runConcurrentPromotions(t, func(cur *heap.Heap, ops *Counters, cell mem.ObjPtr, head mem.ObjPtr) {
 		WritePtrSlow(nil, nil, ops, cell, 0, head)

@@ -33,12 +33,7 @@ type Heap struct {
 	// copy they are waiting for.
 	lk RWLock
 	id uint64
-
-	// Child registry for super-root heaps (superroot.go): session subtrees
-	// attach here so shutdown can find abandoned ones. Lazily installed on
-	// first attach; nil for every heap that never had a child attached.
-	childReg atomic.Pointer[childRegistry]
-	_        uint64
+	_  [2]uint64
 
 	LiveWords int64 // GC policy input: live estimate from the last collection
 

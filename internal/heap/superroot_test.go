@@ -6,37 +6,10 @@ import (
 	"repro/internal/mem"
 )
 
-func TestAttachDetachChildren(t *testing.T) {
-	root := NewRoot()
-	a := root.AttachChild()
-	b := root.AttachChild()
-	if a.Parent() != root || b.Parent() != root {
-		t.Fatalf("attached children must parent at the super-root")
-	}
-	if a.Depth() != 1 || b.Depth() != 1 {
-		t.Fatalf("attached children at depth %d/%d, want 1", a.Depth(), b.Depth())
-	}
-	if n := root.AttachedCount(); n != 2 {
-		t.Fatalf("AttachedCount = %d, want 2", n)
-	}
-	root.DetachChild(a)
-	if n := root.AttachedCount(); n != 1 {
-		t.Fatalf("AttachedCount after detach = %d, want 1", n)
-	}
-	root.DetachChild(a) // double detach is a no-op
-	kids := root.AttachedChildren()
-	if len(kids) != 1 || kids[0] != b {
-		t.Fatalf("AttachedChildren = %v, want [%v]", kids, b)
-	}
-	root.DetachChild(b)
-	FreeChunkList(a.TakeChunks())
-	FreeChunkList(b.TakeChunks())
-}
-
 func TestReleaseWholesaleFreesChunksWithoutMerging(t *testing.T) {
 	base := mem.ChunksInUse()
 	root := NewRoot()
-	child := root.AttachChild()
+	child := NewChild(root)
 	for i := 0; i < 64; i++ {
 		child.FreshObj(2, 6, mem.TagTuple)
 	}
@@ -46,7 +19,6 @@ func TestReleaseWholesaleFreesChunksWithoutMerging(t *testing.T) {
 	rootChunksBefore := root.NumChunks()
 	wantBytes := child.CapWords() * 8
 
-	root.DetachChild(child)
 	got := ReleaseWholesale(nil, root, child)
 	if got != wantBytes {
 		t.Fatalf("ReleaseWholesale returned %d bytes, want %d", got, wantBytes)

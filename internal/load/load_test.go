@@ -44,52 +44,6 @@ func runnerFor(sc Scenario, size int) func(*hh.Task, uint64, int) uint64 {
 	return sc.Run
 }
 
-// TestScenariosAgreeUnderBarrierAblations replays every scenario with the
-// write-barrier fast paths ablated and checks the checksums match the
-// default configuration in both hierarchical modes. The fast paths are an
-// implementation detail: they must never change a result.
-func TestScenariosAgreeUnderBarrierAblations(t *testing.T) {
-	type key struct {
-		name string
-		seed uint64
-	}
-	configs := []struct {
-		label string
-		opts  []hh.Option
-	}{
-		{"default", nil},
-		{"nofastpath", []hh.Option{hh.WithoutBarrierFastPath()}},
-	}
-	for _, mode := range []hh.Mode{hh.ParMem, hh.Manticore} {
-		want := map[key]uint64{}
-		for _, cfg := range configs {
-			opts := append([]hh.Option{hh.WithMode(mode), hh.WithProcs(2),
-				hh.WithGCPolicy(2048, 1.25)}, cfg.opts...)
-			r := hh.New(opts...)
-			for _, sc := range All() {
-				run := runnerFor(sc, 300)
-				for seed := uint64(1); seed <= 2; seed++ {
-					s := r.Submit(hh.SessionOpts{}, func(task *hh.Task) uint64 {
-						return run(task, seed, 300)
-					})
-					got, err := s.Wait()
-					if err != nil {
-						t.Fatalf("%s/%s/%s seed %d: %v", mode, cfg.label, sc.Name, seed, err)
-					}
-					k := key{sc.Name, seed}
-					if w, seen := want[k]; !seen {
-						want[k] = got
-					} else if got != w {
-						t.Errorf("%s/%s/%s seed %d: checksum %x, want %x",
-							mode, cfg.label, sc.Name, seed, got, w)
-					}
-				}
-			}
-			r.Close()
-		}
-	}
-}
-
 // TestScenariosDeterministicAcrossModes replays the same requests in every
 // runtime mode and checks the checksums agree — the property hhload's
 // cross-mode validation relies on.

@@ -2,19 +2,8 @@ package mem
 
 import (
 	"fmt"
-	"os"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
-)
-
-// Tombstone diagnostics: when MEM_TOMBSTONES=1, FreeChunk records the stack
-// that freed each chunk so a later dangling-pointer panic can name its
-// killer. Debugging aid only (expensive).
-var (
-	tombstonesOn = os.Getenv("MEM_TOMBSTONES") == "1"
-	tombMu       sync.Mutex
-	tombstones   = map[uint32]string{}
 )
 
 // DefaultChunkWords is the largest regular chunk payload: 8192 words =
@@ -93,13 +82,7 @@ func GetChunk(id uint32) *Chunk {
 	}
 	c := seg[id&(dirSegSize-1)].Load()
 	if c == nil {
-		msg := fmt.Sprintf("mem: dangling chunk ID %d (freed chunk)", id)
-		if tombstonesOn {
-			tombMu.Lock()
-			msg += "\nfreed by:\n" + tombstones[id]
-			tombMu.Unlock()
-		}
-		panic(msg)
+		panic(fmt.Sprintf("mem: dangling chunk ID %d (freed chunk)", id))
 	}
 	return c
 }
@@ -160,11 +143,6 @@ func unregisterChunk(c *Chunk) {
 	}
 	accountFree(c.id, int64(len(c.Data))*8)
 	idInUse.Add(-1)
-	if tombstonesOn {
-		tombMu.Lock()
-		tombstones[c.id] = string(debug.Stack())
-		tombMu.Unlock()
-	}
 }
 
 // releaseChunkID returns a chunk ID to the directory free list (hard frees

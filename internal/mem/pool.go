@@ -78,13 +78,6 @@ const poolStealBatch = 4
 // NumSizeClasses reports how many size classes the pool manages.
 func NumSizeClasses() int { return numClasses }
 
-// SizeClasses returns the pool's size classes in payload words, ascending.
-func SizeClasses() []int {
-	out := make([]int, numClasses)
-	copy(out, classWords[:])
-	return out
-}
-
 // classFor returns the smallest size class holding words, or -1 when words
 // exceeds the largest class (oversize chunks are never pooled).
 func classFor(words int) int {
@@ -402,13 +395,6 @@ func (cc *ChunkCache) HeldChunks() int { return cc.held }
 
 // HeldBytes reports the bytes the cache is holding.
 func (cc *ChunkCache) HeldBytes() int64 { return cc.heldB }
-
-// PerClass returns the cache's bound in chunks per size class.
-func (cc *ChunkCache) PerClass() int { return cc.perClass }
-
-// HomeShard returns the pool shard this cache overflows to and acquires
-// from first, under the current shard count.
-func (cc *ChunkCache) HomeShard() int { return cc.home % ChunkPoolShards() }
 
 // SetOwner records the worker ID that owns this cache, used only to place
 // trace events on the owner's timeline track. Callers that never trace can

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/heap"
 	"repro/internal/mem"
 )
 
@@ -27,8 +28,8 @@ func TestAllocInBornInAnchorMasterHeap(t *testing.T) {
 		defer task.PopRoots(mark)
 		task.ForkJoinScalar(arr, func(tk *Task, arr mem.ObjPtr) uint64 {
 			cell := tk.AllocIn(arr, 1, 1, mem.TagCons)
-			if HeapOf(cell) != core.MasterHeap(arr) || HeapOf(cell) == tk.CurrentHeap() {
-				t.Errorf("AllocIn put the object in %v, want the anchor's %v", HeapOf(cell), core.MasterHeap(arr))
+			if heap.Of(cell) != core.MasterHeap(arr) || heap.Of(cell) == tk.CurrentHeap() {
+				t.Errorf("AllocIn put the object in %v, want the anchor's %v", heap.Of(cell), core.MasterHeap(arr))
 			}
 			before := tk.Ops
 			tk.WritePtr(arr, 0, cell)
@@ -44,12 +45,12 @@ func TestAllocInBornInAnchorMasterHeap(t *testing.T) {
 			if !mem.HasFwd(loc) {
 				t.Fatal("setup: loc was not promoted")
 			}
-			if got := HeapOf(tk.AllocIn(loc, 0, 1, mem.TagRef)); got != HeapOf(arr) {
-				t.Errorf("AllocIn through a forwarded anchor put the object in %v, want the master's %v", got, HeapOf(arr))
+			if got := heap.Of(tk.AllocIn(loc, 0, 1, mem.TagRef)); got != heap.Of(arr) {
+				t.Errorf("AllocIn through a forwarded anchor put the object in %v, want the master's %v", got, heap.Of(arr))
 			}
 
 			local := tk.Alloc(1, 0, mem.TagRef)
-			if got := HeapOf(tk.AllocIn(local, 0, 1, mem.TagRef)); got != tk.CurrentHeap() {
+			if got := heap.Of(tk.AllocIn(local, 0, 1, mem.TagRef)); got != tk.CurrentHeap() {
 				t.Errorf("AllocIn next to a local anchor put the object in %v, want the current heap", got)
 			}
 			return 0

@@ -44,17 +44,6 @@ type Config struct {
 	STWFloorBytes int64
 	STWRatio      float64
 
-	// DisableGC turns collection off entirely (for GC-overhead ablations).
-	DisableGC bool
-
-	// NoBarrierFastPath forces every pointer write through the master-copy
-	// lookup under the heap read lock — the paper-faithful baseline, with
-	// neither the local-update fast path (§3.3) nor the optimistic
-	// ancestor-pointee path. The ablation that measures what the
-	// write-barrier fast paths buy (hhload -nofastpath,
-	// BenchmarkAblationWritePtrFastPath).
-	NoBarrierFastPath bool
-
 	// CheckInvariants makes every ParMem WriteInitPtr check that the stored
 	// value lives in the object's heap or an ancestor, panicking on a store
 	// that would entangle the hierarchy. It has no effect in other modes.

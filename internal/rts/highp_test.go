@@ -15,7 +15,7 @@ import (
 // P ∈ {2, 8, NumCPU} with GOMAXPROCS matched to P, so the race detector
 // sees both the tightly serialized interleavings of a small P and the
 // wide ones of an oversubscribed scheduler. These are the tests that
-// exercise concurrent zone collections, the striped child registry, the
+// exercise concurrent zone collections, session attach and release, the
 // sharded pool, and the striped totals together under real mutator
 // traffic.
 
@@ -96,13 +96,14 @@ func sessionChurn(t *Task, seed uint64, listLen int) uint64 {
 	return 1
 }
 
-// TestAttachDetachDuringZoneCollections races the super-root child
-// registry against in-flight zone collections: waves of short unpinned
-// sessions attach at submit and detach at wholesale reclaim, WHILE their
-// siblings' subtrees are mid-collection (each session's garbage carries its
-// heap past the unpinned-session floor, so every live session collects).
-// The striped registry must neither lose a child (leak: AttachedCount != 0
-// after the waves) nor corrupt a session another stripe is reclaiming.
+// TestAttachDetachDuringZoneCollections races session attach and release
+// against in-flight zone collections: waves of short unpinned sessions
+// create their subtree under the super-root at submit and free it
+// wholesale at reclaim, WHILE their siblings' subtrees are mid-collection
+// (each session's garbage carries its heap past the unpinned-session
+// floor, so every live session collects). No session may corrupt another
+// one's data, and every subtree's chunks must come back: occupancy returns
+// to the pre-traffic baseline after the waves.
 // The Seq leg runs each session on a goroutine of its own, so its session
 // zones overlap with nothing between them but their heaps' write locks.
 func TestAttachDetachDuringZoneCollections(t *testing.T) {
@@ -152,9 +153,6 @@ func attachDetachDuringZones(t *testing.T, cfg Config) {
 		}
 	}
 
-	if got := r.rootHeap.AttachedCount(); got != 0 {
-		t.Fatalf("child registry leaked %d sessions", got)
-	}
 	// Unpinned sessions reclaim wholesale; occupancy returns to the
 	// pre-traffic baseline once every wave has drained.
 	deadline := time.Now().Add(10 * time.Second)

@@ -23,7 +23,7 @@ func (t *Task) Alloc(numPtr, numNonptr int, tag mem.Tag) mem.ObjPtr {
 	switch r.cfg.Mode {
 	case ParMem, Seq:
 		h := t.sh.Current()
-		if !r.cfg.DisableGC && t.shouldCollect(h) {
+		if t.shouldCollect(h) {
 			t.collectZone(h, gc.LeafZone)
 		}
 		return core.Alloc(t.chunkCache(), h, &t.Ops, numPtr, numNonptr, tag)
@@ -31,13 +31,13 @@ func (t *Task) Alloc(numPtr, numNonptr int, tag mem.Tag) mem.ObjPtr {
 		if r.gcFlag.Load() {
 			t.stopForGCTask()
 		}
-		if !r.cfg.DisableGC && r.stwShouldCollect() {
+		if r.stwShouldCollect() {
 			r.triggerSTW(t)
 		}
 		return core.Alloc(t.chunkCache(), t.ws.heap, &t.Ops, numPtr, numNonptr, tag)
 	default: // Manticore
 		h := t.ws.heap
-		if !r.cfg.DisableGC && r.cfg.Policy.ShouldCollect(h) {
+		if r.cfg.Policy.ShouldCollect(h) {
 			t.collectLocal()
 		}
 		return core.Alloc(t.chunkCache(), h, &t.Ops, numPtr, numNonptr, tag)
@@ -148,16 +148,8 @@ func (t *Task) CASWord(p mem.ObjPtr, i int, old, new uint64) bool {
 func (t *Task) WritePtr(p mem.ObjPtr, i int, q mem.ObjPtr) {
 	switch t.rt.cfg.Mode {
 	case ParMem:
-		if t.rt.cfg.NoBarrierFastPath {
-			core.WritePtrSlow(t.chunkCache(), &t.pbuf, &t.Ops, p, i, q)
-			return
-		}
 		core.WritePtr(t.chunkCache(), t.sh.Current(), &t.pbuf, &t.Ops, p, i, q)
 	case Manticore:
-		if t.rt.cfg.NoBarrierFastPath {
-			core.WritePtrSlow(t.chunkCache(), &t.pbuf, &t.Ops, p, i, q)
-			return
-		}
 		core.WritePtr(t.chunkCache(), t.ws.heap, &t.pbuf, &t.Ops, p, i, q)
 	case Seq:
 		t.Ops.WritePtrFast++
@@ -188,6 +180,3 @@ func (t *Task) WriteInitPtr(p mem.ObjPtr, i int, q mem.ObjPtr) {
 	}
 	core.WriteInitPtr(&t.Ops, p, i, q)
 }
-
-// HeapOf exposes heapOf for examples and tests.
-func HeapOf(p mem.ObjPtr) *heap.Heap { return heap.Of(p) }

@@ -330,8 +330,10 @@ func (r *Runtime) CheckDisentangled() error {
 // Close first waits for every submitted session to complete: releasing a
 // subtree under a live mutator would corrupt it, and a session still
 // queued in the pool's inbox must get to run (and its Wait to return)
-// before the workers stop. Callers wanting a prompt Close drain their
-// sessions first; Close must not be called from inside a session.
+// before the workers stop. A session frees its own subtree before it stops
+// counting as live, so once the wait is over the super-root is the only
+// session heap left. Callers wanting a prompt Close drain their sessions
+// first; Close must not be called from inside a session.
 func (r *Runtime) Close() {
 	if !r.closed.CompareAndSwap(false, true) {
 		return
@@ -355,16 +357,8 @@ func (r *Runtime) Close() {
 			heap.FreeChunkList(ws.heap.TakeChunks())
 		}
 	}
-	if r.rootHeap != nil {
-		// Subtrees of sessions that were never waited out (callers should
-		// drain first; this is the backstop against chunk leaks).
-		for _, c := range r.rootHeap.AttachedChildren() {
-			r.rootHeap.DetachChild(c)
-			heap.ReleaseWholesale(nil, r.rootHeap, c)
-		}
-		if r.rootHeap.IsAlive() {
-			heap.FreeChunkList(r.rootHeap.TakeChunks())
-		}
+	if r.rootHeap != nil && r.rootHeap.IsAlive() {
+		heap.FreeChunkList(r.rootHeap.TakeChunks())
 	}
 	mem.SetChunkPoolShards(r.prevPoolShards)
 	if r.traceOwner {

@@ -183,7 +183,7 @@ func (r *Runtime) Submit(opts SessionOpts, fn func(*Task) uint64) *Session {
 		done:        make(chan struct{}),
 	}
 	if r.cfg.Mode == ParMem || r.cfg.Mode == Seq {
-		s.heap = r.rootHeap.AttachChild()
+		s.heap = heap.NewChild(r.rootHeap)
 		s.heaps = append(s.heaps, s.heap)
 	}
 	r.sessTotals.Submitted.Add(1)
@@ -367,7 +367,6 @@ func (s *Session) reclaim(w *sched.Worker, res uint64) {
 
 	if s.heap != nil {
 		pinJoin := s.pin && err == nil && s.heap.IsAlive()
-		r.rootHeap.DetachChild(s.heap)
 		if pinJoin {
 			// Pinned: splice the subtree's chunks into the super-root in
 			// O(1). The write lock orders the splice against promotions

@@ -57,8 +57,7 @@ func (t *Task) collectZone(h *heap.Heap, kind gc.ZoneKind) {
 // for the duration. Policy is evaluated on the merged heap, whose
 // allocation and live accounting were accumulated by heap.Join.
 func (t *Task) maybeCollectJoin(extra ...*mem.ObjPtr) {
-	r := t.rt
-	if r.cfg.DisableGC || !t.shouldCollect(t.sh.Current()) {
+	if !t.shouldCollect(t.sh.Current()) {
 		return
 	}
 	mark := t.PushRoot(extra...)
