@@ -57,8 +57,9 @@ func WithMode(m Mode) Option {
 	return func(c *rts.Config) { c.Mode = m }
 }
 
-// WithProcs sets the worker count (ignored in Seq mode). Default: the
-// machine's CPU count.
+// WithProcs sets the worker count. In Seq mode it is the number of
+// sessions that run at once, each one sequential. Default: the machine's
+// CPU count.
 func WithProcs(n int) Option {
 	return func(c *rts.Config) { c.Procs = n }
 }

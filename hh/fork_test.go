@@ -20,9 +20,6 @@ func TestFork2ScalarAllModes(t *testing.T) {
 	}
 	for _, mode := range Modes {
 		for _, procs := range []int{1, 2} {
-			if mode == Seq && procs > 1 {
-				continue
-			}
 			r := New(WithMode(mode), WithProcs(procs))
 			got := Run(r, func(task *Task) uint64 { return fib(task, 15) })
 			r.Close()

@@ -28,7 +28,8 @@ func New(opts ...Option) *Runtime {
 // Mode returns the runtime system in use.
 func (r *Runtime) Mode() Mode { return r.rt.Config().Mode }
 
-// Procs returns the effective processor count.
+// Procs returns the worker count: in Seq mode, the number of sessions that
+// run at once.
 func (r *Runtime) Procs() int { return r.rt.Procs() }
 
 // Stats returns aggregate statistics. Call it after Run completes.

@@ -48,7 +48,7 @@ func (t Tag) String() string {
 
 // Object layout within a chunk, in words:
 //
-//	+0  header:  numPtr (bits 0..23) | numNonptr (bits 24..47) | tag (48..55)
+//	+0  header:  numPtr (bits 0..27) | numNonptr (bits 28..55) | tag (56..63)
 //	+1  forwarding pointer (an ObjPtr; NilPtr when absent)
 //	+2 ..              pointer fields (numPtr words)
 //	+2+numPtr ..       non-pointer words (numNonptr words)
@@ -57,7 +57,7 @@ const (
 	hdrOff      = 0
 	fwdOff      = 1
 
-	fieldBits = 24
+	fieldBits = 28
 	fieldMax  = 1<<fieldBits - 1
 )
 

@@ -28,6 +28,21 @@ func TestHeaderRoundtrip(t *testing.T) {
 	}
 }
 
+// TestHeaderRoundtripPast24Bits checks counts the old 24-bit fields could
+// not hold (a paper-size usp-tree array needs ~1.7e8 words), up to the
+// widest count the header encodes, with the tag still intact above them.
+func TestHeaderRoundtripPast24Bits(t *testing.T) {
+	for _, n := range []int{1 << 24, fieldMax} {
+		for _, c := range [][2]int{{n, 0}, {0, n}, {n, n}} {
+			h := PackHeader(c[0], c[1], TagOther)
+			if headerNumPtr(h) != c[0] || headerNumNonptr(h) != c[1] || headerTag(h) != TagOther {
+				t.Fatalf("PackHeader(%d, %d) round-trips to %d, %d, %v",
+					c[0], c[1], headerNumPtr(h), headerNumNonptr(h), headerTag(h))
+			}
+		}
+	}
+}
+
 func TestPackHeaderRejectsHugeCounts(t *testing.T) {
 	defer func() {
 		if recover() == nil {

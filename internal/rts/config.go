@@ -31,7 +31,7 @@ func (m Mode) String() string {
 // Config parameterizes a Runtime.
 type Config struct {
 	Mode  Mode
-	Procs int // worker count; ignored in Seq mode
+	Procs int // worker count; in Seq, the number of sessions that run at once
 
 	// Policy triggers collection of a task-local (ParMem), single (Seq), or
 	// worker-local (Manticore) heap. In ParMem and Seq a heap of an

@@ -19,7 +19,9 @@
 //     This is the only mode that installs the scheduler's parking
 //     safe-point hook.
 //   - Seq — the sequential baseline: direct execution of both forkjoin
-//     arms, plain loads and stores, one heap (labelled mlton).
+//     arms, plain loads and stores, one heap per session (labelled mlton).
+//     Its sessions run on the same worker pool as every other mode's, so
+//     Procs is the number of Seq sessions that run at once.
 //   - Manticore — a DLG-style design: per-worker local heaps under a shared
 //     global heap; data is promoted (copied) to the global heap whenever the
 //     runtime communicates it across workers (stolen-task environments and

@@ -191,8 +191,13 @@ func (fr *frame) runStolen(thief *sched.Worker, g Thunk, gw ScalarThunk) {
 	if ses != nil {
 		defer ses.frameDone() // last: runs after st.finish
 	}
-	st := r.newStolenTask(thief, fr.forkHeap, ses)
+	var base *heap.Heap
 	if r.cfg.Mode == ParMem {
+		base = heap.NewChild(fr.forkHeap)
+	}
+	st := r.newTask(thief, ses, base)
+	if base != nil {
+		st.madeHeaps = append(st.madeHeaps, base)
 		fr.childSH = st.sh
 	}
 	defer st.finish()

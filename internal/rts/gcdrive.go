@@ -83,13 +83,9 @@ func (r *Runtime) triggerSTW(t *Task) {
 	r.gcFlag.Store(true)
 	// The span opens before the rendezvous wait so the trace shows the full
 	// pause — flag raise to release — not just the copy phase.
-	track := -1
-	if t.w != nil {
-		track = t.w.ID
-	}
 	var span uint64
 	if trace.Enabled() {
-		span = trace.Begin(track, trace.EvSTW, 0, 0)
+		span = trace.Begin(t.w.ID, trace.EvSTW, 0, 0)
 	}
 	for r.gcStopped < r.pool.NumWorkers()-1 {
 		r.gcCond.Wait()
@@ -122,6 +118,6 @@ func (r *Runtime) triggerSTW(t *Task) {
 	r.gcCond.Broadcast()
 	r.gcMu.Unlock()
 	if span != 0 {
-		trace.End(track, trace.EvSTW, span, 0, uint64(stats.WordsCopied))
+		trace.End(t.w.ID, trace.EvSTW, span, 0, uint64(stats.WordsCopied))
 	}
 }

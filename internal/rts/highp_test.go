@@ -104,7 +104,7 @@ func sessionChurn(t *Task, seed uint64, listLen int) uint64 {
 // floor, so every live session collects). No session may corrupt another
 // one's data, and every subtree's chunks must come back: occupancy returns
 // to the pre-traffic baseline after the waves.
-// The Seq leg runs each session on a goroutine of its own, so its session
+// The Seq leg runs four sessions at once, one per worker, so its session
 // zones overlap with nothing between them but their heaps' write locks.
 func TestAttachDetachDuringZoneCollections(t *testing.T) {
 	for _, p := range highPs() {
@@ -115,7 +115,7 @@ func TestAttachDetachDuringZoneCollections(t *testing.T) {
 	}
 	t.Run("Seq", func(t *testing.T) {
 		setProcs(t, 4)
-		attachDetachDuringZones(t, DefaultConfig(Seq, 1))
+		attachDetachDuringZones(t, DefaultConfig(Seq, 4))
 	})
 }
 

@@ -351,6 +351,29 @@ func TestPeakMemoryTracked(t *testing.T) {
 	}
 }
 
+// TestObjectPast24BitFields allocates an object with more non-pointer
+// words than a 24-bit header field holds — the size a paper-scale
+// usp-tree array reaches — and checks its last word and its size survive
+// in every mode.
+func TestObjectPast24BitFields(t *testing.T) {
+	const n = 1<<24 + 1
+	for _, mode := range allModes {
+		r := New(testConfig(mode, 1))
+		got := r.Run(func(task *Task) uint64 {
+			p := task.AllocMut(0, n, mem.TagArrI64)
+			task.WriteNonptr(p, n-1, 0xfeed)
+			if w := mem.NumNonptrWords(p); w != n {
+				t.Errorf("%v: NumNonptrWords = %d, want %d", mode, w, n)
+			}
+			return task.ReadMutWord(p, n-1)
+		})
+		r.Close()
+		if got != 0xfeed {
+			t.Fatalf("%v: last word = %#x, want 0xfeed", mode, got)
+		}
+	}
+}
+
 func TestRootsPushPop(t *testing.T) {
 	r := New(testConfig(Seq, 1))
 	defer r.Close()

@@ -77,12 +77,8 @@ type totalsShard struct {
 	_   [64]byte
 }
 
-// totalsShardFor picks the stripe tasks of worker w merge into (shard 0
-// for Seq-mode tasks, which have no worker).
+// totalsShardFor picks the stripe tasks of worker w merge into.
 func (r *Runtime) totalsShardFor(w *sched.Worker) *totalsShard {
-	if w == nil {
-		return &r.totals[0]
-	}
 	return &r.totals[w.ID&(totalsShardCount-1)]
 }
 
@@ -142,19 +138,8 @@ func New(cfg Config) *Runtime {
 	r.baselineAlloc = mem.AllocSnapshot()
 
 	if cfg.Mode != STW {
+		r.rootHeap = heap.NewRoot()
 		r.zones = gc.NewZoneRecorder()
-	}
-
-	switch cfg.Mode {
-	case Seq:
-		r.rootHeap = heap.NewRoot()
-		return r // no worker pool
-	case ParMem:
-		r.rootHeap = heap.NewRoot()
-	case Manticore:
-		r.rootHeap = heap.NewRoot() // the shared global heap, depth 0
-	case STW:
-		// worker heaps only
 	}
 
 	r.pool = sched.NewPool(cfg.Procs, sched.WithChunkCaches(mem.DefaultCacheChunksPerClass))
@@ -184,13 +169,9 @@ func New(cfg Config) *Runtime {
 // Config returns the runtime's configuration.
 func (r *Runtime) Config() Config { return r.cfg }
 
-// Procs returns the effective processor count.
-func (r *Runtime) Procs() int {
-	if r.cfg.Mode == Seq {
-		return 1
-	}
-	return r.cfg.Procs
-}
+// Procs returns the worker count: in Seq, the number of sessions that run
+// at once, each one sequential.
+func (r *Runtime) Procs() int { return r.cfg.Procs }
 
 // Run executes fn as a single pinned session and blocks for its result:
 // Submit + Wait, with the subtree merged into the super-root so pointer
@@ -207,42 +188,18 @@ func (r *Runtime) Run(fn func(*Task) uint64) uint64 {
 	return res
 }
 
-// newSessionTask creates the root task of a session, hosted on worker w
-// (nil in Seq mode). In the hierarchical modes its superheap is based at
-// the session's subtree heap, one level under the process super-root.
-func (r *Runtime) newSessionTask(w *sched.Worker, s *Session) *Task {
+// newTask creates a task of session s on worker w: a session's root task,
+// or the context of a stolen frame. In the hierarchical modes its
+// superheap is based at base — the session's subtree heap, or a stolen
+// ParMem arm's fresh child of the fork heap; the flat modes pass nil and
+// allocate into the worker's heap.
+func (r *Runtime) newTask(w *sched.Worker, s *Session, base *heap.Heap) *Task {
 	t := &Task{rt: r, w: w, ses: s}
-	if w != nil {
-		t.pbuf.SetTrack(w.ID)
-	}
-	switch r.cfg.Mode {
-	case ParMem, Seq:
-		t.sh = heap.NewSuperheap(s.heap)
-	case STW, Manticore:
-		t.ws = w.Local.(*workerState)
-	}
-	if t.ws != nil {
-		t.ws.tasks[t] = struct{}{}
-	}
-	return t
-}
-
-// newStolenTask creates the context for a stolen frame, in the same
-// session as the victim.
-func (r *Runtime) newStolenTask(w *sched.Worker, forkHeap *heap.Heap, s *Session) *Task {
-	t := &Task{rt: r, w: w, ses: s}
-	if w != nil {
-		t.pbuf.SetTrack(w.ID)
-	}
-	switch r.cfg.Mode {
-	case ParMem:
-		base := heap.NewChild(forkHeap)
+	t.pbuf.SetTrack(w.ID)
+	if base != nil {
 		t.sh = heap.NewSuperheap(base)
-		t.madeHeaps = append(t.madeHeaps, base)
-	case STW, Manticore:
+	} else {
 		t.ws = w.Local.(*workerState)
-	}
-	if t.ws != nil {
 		t.ws.tasks[t] = struct{}{}
 	}
 	return t
@@ -294,9 +251,7 @@ func (r *Runtime) Stats() Totals {
 		t.GC.Add(sh.gc)
 		sh.mu.Unlock()
 	}
-	if r.pool != nil {
-		t.Steals = r.pool.TotalSteals()
-	}
+	t.Steals = r.pool.TotalSteals()
 	if r.zones != nil {
 		t.Zones = r.zones.Snapshot()
 	}
@@ -341,16 +296,12 @@ func (r *Runtime) Close() {
 	for r.liveSessions.Load() > 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	if r.pool != nil {
-		r.pool.Close()
-		// The workers have exited (Close waited on them), so their chunk
-		// caches are safe to flush from here: a closed runtime must not sit
-		// on warm chunks the next runtime's workers cannot reach.
-		for _, w := range r.pool.Workers() {
-			if w.Chunks != nil {
-				w.Chunks.Flush()
-			}
-		}
+	r.pool.Close()
+	// The workers have exited (Close waited on them), so their chunk caches
+	// are safe to flush from here: a closed runtime must not sit on warm
+	// chunks the next runtime's workers cannot reach.
+	for _, w := range r.pool.Workers() {
+		w.Chunks.Flush()
 	}
 	for _, ws := range r.states {
 		if ws.heap != nil && ws.heap.IsAlive() {

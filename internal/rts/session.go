@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/heap"
-	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -197,14 +196,7 @@ func (r *Runtime) Submit(opts SessionOpts, fn func(*Task) uint64) *Session {
 		}
 	}
 	s.outstanding.Add(1) // the root frame
-	if r.pool == nil {
-		// Seq mode has no worker pool: the session body runs on its own
-		// goroutine (the mode is sequential WITHIN a session; independent
-		// sessions still serve concurrently).
-		go s.runRoot(nil, fn)
-	} else {
-		r.pool.Submit(sched.NewFrame(func(w *sched.Worker) { s.runRoot(w, fn) }))
-	}
+	r.pool.Submit(sched.NewFrame(func(w *sched.Worker) { s.runRoot(w, fn) }))
 	return s
 }
 
@@ -287,20 +279,14 @@ func (s *Session) addHeaps(hs []*heap.Heap) {
 // frameDone consumes one outstanding frame.
 func (s *Session) frameDone() { s.outstanding.Add(-1) }
 
-// runRoot executes the session body as the root task (on worker w, or on a
-// plain goroutine in Seq mode), waits out any orphaned frames, and
-// reclaims the subtree.
+// runRoot executes the session body as the root task on worker w, waits
+// out any orphaned frames, and reclaims the subtree.
 func (s *Session) runRoot(w *sched.Worker, fn func(*Task) uint64) {
-	r := s.r
-	track := -1
-	if w != nil {
-		track = w.ID
-	}
 	var span uint64
 	if trace.Enabled() {
-		span = trace.Begin(track, trace.EvSession, 0, s.id)
+		span = trace.Begin(w.ID, trace.EvSession, 0, s.id)
 	}
-	t := r.newSessionTask(w, s)
+	t := s.r.newTask(w, s, s.heap)
 	res := s.protect(t, fn)
 	t.finish()
 	s.frameDone()
@@ -310,9 +296,7 @@ func (s *Session) runRoot(w *sched.Worker, fn func(*Task) uint64) {
 	// under them. Spin at the scheduler's safe point (an STW rendezvous
 	// must be able to park this worker while it waits).
 	for s.outstanding.Load() > 0 {
-		if w != nil {
-			w.SafePoint()
-		}
+		w.SafePoint()
 		time.Sleep(20 * time.Microsecond)
 	}
 	s.reclaim(w, res)
@@ -321,7 +305,7 @@ func (s *Session) runRoot(w *sched.Worker, fn func(*Task) uint64) {
 		if s.err != nil {
 			outcome = 1
 		}
-		trace.End(track, trace.EvSession, span, outcome, s.id)
+		trace.End(w.ID, trace.EvSession, span, outcome, s.id)
 	}
 }
 
@@ -349,16 +333,12 @@ func (s *Session) protect(t *Task, fn func(*Task) uint64) (res uint64) {
 }
 
 // reclaim releases (or, pinned, merges) the session subtree and publishes
-// the session's completion. It runs on worker w (nil in Seq mode), whose
-// chunk cache receives the released chunks first — the per-request reuse
-// path: the chunks of the request that just finished become the chunks of
-// whatever this worker runs next, with no directory traffic at all.
+// the session's completion. It runs on worker w, whose chunk cache
+// receives the released chunks first — the per-request reuse path: the
+// chunks of the request that just finished become the chunks of whatever
+// this worker runs next, with no directory traffic at all.
 func (s *Session) reclaim(w *sched.Worker, res uint64) {
 	r := s.r
-	var cc *mem.ChunkCache
-	if w != nil {
-		cc = w.Chunks
-	}
 	s.mu.Lock()
 	err := s.err
 	heaps := s.heaps
@@ -383,7 +363,7 @@ func (s *Session) reclaim(w *sched.Worker, res uint64) {
 		// orphaned mid-unwind. Heaps already merged away free nothing.
 		var freed int64
 		for _, h := range heaps {
-			freed += heap.ReleaseWholesale(cc, r.rootHeap, h)
+			freed += heap.ReleaseWholesale(w.Chunks, r.rootHeap, h)
 		}
 		s.wholesaleBytes = freed
 	}
@@ -423,10 +403,6 @@ func (t *Task) allocGate(words int) {
 // first nil pop was stolen and will be consumed by its thief). Called only
 // on the panic path, on the task's own worker.
 func (t *Task) drainPending() {
-	if t.w == nil {
-		t.pending = nil
-		return
-	}
 	for len(t.pending) > 0 {
 		top := t.pending[len(t.pending)-1]
 		popped := t.w.PopBottom()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gc"
 	"repro/internal/mem"
@@ -385,5 +386,48 @@ func TestCloseWaitsForLiveSessions(t *testing.T) {
 				t.Fatalf("%d chunks in use after Close", got)
 			}
 		})
+	}
+}
+
+// TestSeqSessionsRunOnPool checks that Seq sessions run as root frames on
+// the worker pool: at P = 2 two sessions run at once, Stats reports both
+// workers, and a session's released chunks feed the next session's
+// allocations through its worker's chunk cache.
+func TestSeqSessionsRunOnPool(t *testing.T) {
+	r := New(sessionConfig(Seq, 2))
+	defer r.Close()
+
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var pair [2]*Session
+	for i := range pair {
+		pair[i] = r.Submit(SessionOpts{}, func(task *Task) uint64 {
+			close(started[i])
+			select {
+			case <-started[1-i]:
+				return 1
+			case <-time.After(10 * time.Second):
+				return 0
+			}
+		})
+	}
+	for i, s := range pair {
+		if res, err := s.Wait(); err != nil || res != 1 {
+			t.Fatalf("session %d: res=%d err=%v, want both sessions running at once", i, res, err)
+		}
+	}
+	if got := r.Stats().Procs; got != 2 {
+		t.Fatalf("Stats().Procs = %d, want 2", got)
+	}
+
+	before := r.Stats().Alloc
+	for i := 0; i < 8; i++ {
+		if _, err := r.Submit(SessionOpts{}, func(task *Task) uint64 {
+			return buildChurn(task, 5000)
+		}).Wait(); err != nil {
+			t.Fatalf("churn session %d: %v", i, err)
+		}
+	}
+	if al := r.Stats().Alloc.Sub(before); al.CacheHits == 0 {
+		t.Fatalf("worker chunk caches never served a Seq session: %+v", al)
 	}
 }

@@ -116,16 +116,11 @@ func (t *Task) CurrentHeap() *heap.Heap {
 }
 
 // chunkCache returns the chunk cache of the worker this task is currently
-// executing on (nil in Seq mode, whose sessions run on plain goroutines).
-// Allocation, collection, and release paths thread it down so chunk
-// traffic stays worker-local; because it is resolved per call from t.w,
-// the cache is only ever touched by its owning worker's goroutine.
-func (t *Task) chunkCache() *mem.ChunkCache {
-	if t.w == nil {
-		return nil
-	}
-	return t.w.Chunks
-}
+// executing on. Allocation, collection, and release paths thread it down
+// so chunk traffic stays worker-local; because it is resolved per call
+// from t.w, the cache is only ever touched by its owning worker's
+// goroutine.
+func (t *Task) chunkCache() *mem.ChunkCache { return t.w.Chunks }
 
 // collectLocal collects the worker-local heap in Manticore mode, rooted by
 // every task hosted on this worker (all suspended except the caller). The

@@ -15,7 +15,7 @@
 // Events are fixed-size (five 64-bit words, see ring.go). Spans are paired
 // by an explicit span ID drawn from a global counter — Begin returns the ID,
 // End carries it back — so overlapping spans on one track (work stealing,
-// Seq-mode sessions sharing the off-worker track) pair correctly no matter
+// client goroutines sharing the off-worker track) pair correctly no matter
 // how they interleave. The exporter turns matched pairs into Chrome "X"
 // complete events and unmatched Begins into spans closed at the cut.
 package trace
@@ -83,9 +83,9 @@ const (
 )
 
 // Recorder owns one ring per worker track plus a shared ring for off-worker
-// emitters (track -1: client goroutines, the serve admission path, Seq-mode
-// sessions). At most one Recorder is installed process-wide, mirroring the
-// one-active-Runtime rule.
+// emitters (track -1: client goroutines, the serve admission path). At most
+// one Recorder is installed process-wide, mirroring the one-active-Runtime
+// rule.
 type Recorder struct {
 	start  time.Time // wall-clock epoch; event timestamps are nanos since this
 	tracks int
