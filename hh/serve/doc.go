@@ -33,7 +33,7 @@
 // request's memory — under steady load the serving hot path performs no
 // chunk-directory ID operations and no fresh allocations at all. The
 // tiers have no knobs: every worker caches mem.DefaultCacheChunksPerClass
-// chunks per size class and the pool runs one shard per worker.
+// chunks per size class and the pool is one free list per class.
 // Stats().Alloc reports the cache and pool hit rates and the directory
 // operations per request (hhload prints them; the benchmark reports them
 // as mem.cache_hit_share and mem.dirops_per_req).

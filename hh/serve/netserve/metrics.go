@@ -139,8 +139,6 @@ func (f *Frontend) WriteMetrics(buf *bytes.Buffer) {
 	fmt.Fprintf(buf, "hh_chunk_acquires_total{tier=\"cache\"} %d\n", rt.Alloc.CacheHits)
 	fmt.Fprintf(buf, "hh_chunk_acquires_total{tier=\"pool\"} %d\n", rt.Alloc.PoolHits)
 	fmt.Fprintf(buf, "hh_chunk_acquires_total{tier=\"fresh\"} %d\n", rt.Alloc.FreshChunks)
-	fmt.Fprintf(buf, "# TYPE hh_pool_shard_steals_total counter\nhh_pool_shard_steals_total %d\n",
-		rt.Alloc.ShardSteals)
 	fmt.Fprintf(buf, "# TYPE hh_pooled_bytes gauge\nhh_pooled_bytes %d\n", rt.Alloc.PooledBytes)
 }
 

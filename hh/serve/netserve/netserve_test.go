@@ -431,7 +431,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"hh_zone_concurrent_peak",
 		"hh_gc_seconds_total",
 		"hh_task_allocs_total",
-		"hh_pool_shard_steals_total",
+		"hh_chunk_acquires_total",
 		"hh_wholesale_bytes_total",
 		"hh_chunks_in_use",
 		"hh_connections_total 1",

@@ -15,8 +15,8 @@ import (
 // swept over P ∈ {2, 8, NumCPU} with GOMAXPROCS matched to P. At P=2 the
 // striped structures degrade to near-serial use; at P=8 (oversubscribed on
 // small hosts) the Go scheduler preempts aggressively, which is where the
-// race detector earns its keep against the striped admission and sharded
-// pool underneath the server.
+// race detector earns its keep against the striped admission and the
+// shared chunk pool underneath the server.
 
 func servePs() []int {
 	ps := []int{2, 8, runtime.NumCPU()}

@@ -7,7 +7,9 @@
 // redirected into the parent with a union-find link, so no objects move and
 // chunk ownership lookups stay O(1) amortized via path compression. This
 // reproduces MLton's constant-time linked-list splice while keeping the
-// chunk-metadata heapOf lookup of the paper's implementation.
+// chunk-metadata heapOf lookup of the paper's implementation: Of reads the
+// heap from the chunk's owner slot (mem.Chunk.Owner), which grow and
+// AdoptFrom set, and resolves it through any joins.
 //
 // # Locks and the one global order
 //

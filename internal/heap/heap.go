@@ -3,6 +3,7 @@ package heap
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -117,6 +118,18 @@ func (h *Heap) Resolve() *Heap {
 	return root
 }
 
+// Of returns the live heap holding the object (paper's heapOf): its
+// chunk's owner slot, resolved through any joins. A dangling pointer
+// panics in mem.GetChunk.
+func Of(p mem.ObjPtr) *Heap {
+	if c := mem.GetChunk(p.ChunkID()); c != nil {
+		if h := (*Heap)(c.Owner()); h != nil {
+			return h.Resolve()
+		}
+	}
+	panic(fmt.Sprintf("heap: object %v has no owning heap", p))
+}
+
 // IsAlive reports whether the heap has not been merged away.
 func (h *Heap) IsAlive() bool { return h.merged.Load() == nil }
 
@@ -168,7 +181,7 @@ func (h *Heap) grow(cc *mem.ChunkCache, need int) *mem.Chunk {
 		size = need
 	}
 	c := mem.AcquireChunk(cc, size)
-	SetOwner(c.ID(), h)
+	c.SetOwner(unsafe.Pointer(h))
 	if h.tail == nil {
 		h.head, h.tail = c, c
 	} else {
@@ -234,14 +247,14 @@ func (h *Heap) TakeChunks() *mem.Chunk {
 
 // AdoptFrom moves the to-space twin's chunks into h after a collection
 // ("switchSemispaces" with a stable heap identity: locks and union-find
-// links into h stay valid). Chunk ownership entries are repointed at h and
+// links into h stay valid). The chunks' owner slots are repointed at h and
 // the twin is discarded.
 func (h *Heap) AdoptFrom(twin *Heap) {
 	if !twin.isTo {
 		panic("heap: AdoptFrom expects a to-space twin")
 	}
 	for c := twin.head; c != nil; c = c.Next {
-		SetOwner(c.ID(), h)
+		c.SetOwner(unsafe.Pointer(h))
 	}
 	h.head, h.tail, h.nChunks = twin.head, twin.tail, twin.nChunks
 	h.usedWords, h.capWords = twin.usedWords, twin.capWords
@@ -256,14 +269,13 @@ func (h *Heap) AdoptFrom(twin *Heap) {
 func FreeChunkList(head *mem.Chunk) { RecycleChunkList(nil, head) }
 
 // RecycleChunkList releases a detached chunk list through the recycling
-// allocator: each chunk's ownership and directory entries are invalidated
-// (stale ObjPtrs into it panic), then the slab is parked in cc — the
-// calling worker's cache — overflowing to the global pool and, past the
-// pool's high-water mark, to the OS.
+// allocator: each chunk's directory entry is invalidated (stale ObjPtrs
+// into it panic), then the slab is parked in cc — the calling worker's
+// cache — overflowing to the global pool and, past the pool's high-water
+// mark, to the OS.
 func RecycleChunkList(cc *mem.ChunkCache, head *mem.Chunk) {
 	for c := head; c != nil; {
 		next := c.Next
-		ClearOwner(c.ID())
 		mem.RecycleChunk(cc, c)
 		c = next
 	}

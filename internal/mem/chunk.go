@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // DefaultChunkWords is the largest regular chunk payload: 8192 words =
@@ -18,14 +19,24 @@ const MinChunkWords = 64
 // A chunk is owned by exactly one heap; Next links chunks into the owning
 // heap's list and is managed by the heap package.
 type Chunk struct {
-	id   uint32
-	used uint32 // words handed out so far; mutated only by the owner
-	Data []uint64
-	Next *Chunk
+	id    uint32
+	used  uint32 // words handed out so far; mutated only by the owner
+	Data  []uint64
+	Next  *Chunk
+	owner unsafe.Pointer // owning heap, opaque here; see SetOwner
 }
 
 // ID returns the chunk's directory ID.
 func (c *Chunk) ID() uint32 { return c.id }
+
+// SetOwner records the chunk's owning heap. mem cannot name the heap
+// type, so the slot is an opaque pointer; the heap package stores and
+// loads its own *Heap through it (paper's heapOf). The slot is atomic
+// because barriers read it while a collector repoints it.
+func (c *Chunk) SetOwner(h unsafe.Pointer) { atomic.StorePointer(&c.owner, h) }
+
+// Owner returns the pointer last passed to SetOwner, or nil.
+func (c *Chunk) Owner() unsafe.Pointer { return atomic.LoadPointer(&c.owner) }
 
 // Used returns the number of words allocated so far.
 func (c *Chunk) Used() uint32 { return c.used }
@@ -125,7 +136,7 @@ func NewChunk(words int) *Chunk {
 		}
 	}
 	seg[id&(dirSegSize-1)].Store(c)
-	accountAlloc(id, int64(words)*8)
+	accountAlloc(int64(words) * 8)
 	return c
 }
 
@@ -141,7 +152,7 @@ func unregisterChunk(c *Chunk) {
 	if !seg[c.id&(dirSegSize-1)].CompareAndSwap(c, nil) {
 		panic(fmt.Sprintf("mem: double free of chunk %d", c.id))
 	}
-	accountFree(c.id, int64(len(c.Data))*8)
+	accountFree(int64(len(c.Data)) * 8)
 	idInUse.Add(-1)
 }
 
@@ -171,58 +182,13 @@ func ChunksInUse() int64 { return idInUse.Load() }
 
 // Memory accounting tracks bytes in registered chunks; the high-water mark
 // is the maximum observed, used for the paper's memory-consumption and
-// inflation statistics (Figure 13).
-//
-// The live counter is STRIPED: each chunk ID maps to one of acctShardCount
-// cache-line-padded shards, and since a chunk's allocation and its free
-// account against the same shard, the sum over shards is exactly the live
-// byte total at any linearization point. The alloc path therefore never
-// contends on one global atomic. The high-water mark cannot be maintained
-// per-shard (it is a property of the global sum), so it is SAMPLED: each
-// shard accumulates a pending-delta gauge, and once a shard has seen
-// hwSampleStride bytes of allocation it folds the current global sum into
-// the high-water CAS-max. Readers (HighWaterBytes, and Stats paths built
-// on it) force a sample first, so the reported mark is never below the
-// live total at the time of the read; between reads it may lag the true
-// instantaneous peak by at most acctShardCount×hwSampleStride bytes —
-// ~2 MiB at the default settings, versus the 100s-of-MiB heaps the
-// inflation figures measure.
-const (
-	acctShardCount = 64 // power of two
-	acctShardMask  = acctShardCount - 1
+// inflation statistics (Figure 13). The live total is one atomic counter,
+// and every allocation raises the mark to its result with a CAS-max, so
+// the mark is exact.
+var liveBytes, highWater atomic.Int64
 
-	// hwSampleStride is the per-shard allocation volume between high-water
-	// samples. 32 KiB means every other default-size chunk triggers a
-	// sample on its shard, while runs of small leaf chunks batch ~64 of
-	// them per sample.
-	hwSampleStride = 32 << 10
-)
-
-type acctShard struct {
-	live    atomic.Int64
-	pending atomic.Int64 // allocation bytes since this shard's last sample
-	_       [112]byte    // pad to 128 B so shards do not share cache lines
-}
-
-var (
-	acctShards [acctShardCount]acctShard
-	highWater  atomic.Int64
-)
-
-func accountAlloc(id uint32, n int64) {
-	s := &acctShards[id&acctShardMask]
-	s.live.Add(n)
-	if s.pending.Add(n) >= hwSampleStride {
-		s.pending.Store(0)
-		sampleHighWater()
-	}
-}
-
-func accountFree(id uint32, n int64) { acctShards[id&acctShardMask].live.Add(-n) }
-
-// sampleHighWater folds the current live total into the high-water mark.
-func sampleHighWater() {
-	live := LiveBytes()
+func accountAlloc(n int64) {
+	live := liveBytes.Add(n)
 	for {
 		hw := highWater.Load()
 		if live <= hw || highWater.CompareAndSwap(hw, live) {
@@ -231,24 +197,15 @@ func sampleHighWater() {
 	}
 }
 
+func accountFree(n int64) { liveBytes.Add(-n) }
+
 // LiveBytes returns the bytes currently held in registered chunks.
-func LiveBytes() int64 {
-	var sum int64
-	for i := range acctShards {
-		sum += acctShards[i].live.Load()
-	}
-	return sum
-}
+func LiveBytes() int64 { return liveBytes.Load() }
 
 // HighWaterBytes returns the maximum chunk occupancy observed since the
-// last ResetHighWater. The mark is sampled, not exact (see the accounting
-// comment above); a sample is forced here so the result is at least the
-// live total at the time of the call.
-func HighWaterBytes() int64 {
-	sampleHighWater()
-	return highWater.Load()
-}
+// last ResetHighWater.
+func HighWaterBytes() int64 { return highWater.Load() }
 
 // ResetHighWater restarts the occupancy high-water mark from the current
 // live total. Call between benchmark runs.
-func ResetHighWater() { highWater.Store(LiveBytes()) }
+func ResetHighWater() { highWater.Store(liveBytes.Load()) }

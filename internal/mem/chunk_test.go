@@ -110,3 +110,14 @@ func TestConcurrentChunkAllocFree(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// The high-water mark is exact: one short-lived chunk above the reset
+// point must show in it to the byte.
+func TestHighWaterIsExact(t *testing.T) {
+	ResetHighWater()
+	base := HighWaterBytes()
+	FreeChunk(NewChunk(MinChunkWords))
+	if got, want := HighWaterBytes(), base+MinChunkWords*8; got != want {
+		t.Fatalf("HighWaterBytes = %d after one %d-byte chunk, want %d", got, MinChunkWords*8, want)
+	}
+}

@@ -21,8 +21,13 @@
 // a leaf heap growing during request work, and a completed request's
 // subtree being released wholesale — trades chunks worker-locally with
 // ZERO shared-state operations. Overflow and cold flushes land in the
-// global pool (one short mutex hold); only when the pool is above its
-// high-water mark (SetChunkPoolLimit) does memory go back to the OS.
+// global pool: one free list per size class under one mutex, held briefly;
+// only when the pool is above its high-water mark (SetChunkPoolLimit) does
+// memory go back to the OS.
+//
+// Each Chunk carries an opaque owner slot that the heap package fills with
+// the chunk's owning heap, so heapOf is a directory lookup plus one load.
+// Live bytes are one atomic counter with an exact high-water mark.
 //
 // A recycled slab keeps its directory ID parked with it, so the recycling
 // paths never touch the ID free list's lock; its directory ENTRY, however,

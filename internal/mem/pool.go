@@ -13,25 +13,21 @@ import (
 // idMu-serialized directory ID operation) for every new one, the runtime
 // recycles chunk slabs through two tiers:
 //
-//	alloc  →  per-worker ChunkCache  →  sharded global pool  →  OS
+//	alloc  →  per-worker ChunkCache  →  global pool  →  OS
 //
 // AcquireChunk serves a request from the calling worker's cache with zero
-// shared-state operations, falls back to the global pool (one short mutex
-// hold on the worker's HOME SHARD), and only allocates fresh memory when
-// every shard is empty. RecycleChunk is the reverse path: the released slab
-// is offered to the worker cache, overflowed to the worker's home shard,
-// and released to the OS only when the pool is above its high-water limit.
-// Slabs park dirty and are re-zeroed (used prefix only) on reuse, so a slab
-// that is destroyed instead of reused never pays for clearing.
+// shared-state operations, falls back to the global pool (one short hold
+// of its mutex), and only allocates fresh memory when the pool is empty.
+// RecycleChunk is the reverse path: the released slab is offered to the
+// worker cache, overflowed to the pool, and released to the OS only when
+// the pool is above its high-water limit. Slabs park dirty and are
+// re-zeroed (used prefix only) on reuse, so a slab that is destroyed
+// instead of reused never pays for clearing.
 //
-// The pool's free lists are SHARDED: each worker cache is assigned a home
-// shard round-robin, so pool traffic from P workers spreads over up to P
-// locks instead of serializing on one. A miss on the home shard steals from
-// the other shards round-robin — taking a small batch, not one slab, so a
-// producer-consumer imbalance between workers rebalances in O(1) amortized
-// steals rather than one cross-shard lock hold per chunk. The high-water
-// limit stays GLOBAL (one atomic byte counter checked on every put), so
-// SetChunkPoolLimit means the same thing at any shard count.
+// The pool is one free list per size class under one mutex. The worker
+// caches absorb nearly all traffic (over 95% of acquisitions in the serve
+// workloads), so the pool sees a few thousand operations a second at
+// most, far too few for one short critical section to contend.
 //
 // A recycled slab keeps its directory ID, parked with the slab while it
 // sits in a cache or the pool, so neither direction touches the idMu free
@@ -40,7 +36,7 @@ import (
 // the safety net: releasing invalidates the entry (stale ObjPtrs panic in
 // GetChunk exactly as for a hard free), re-registering asserts the entry
 // is still invalid, and a double release fails its CAS and panics — all of
-// which hold regardless of which shard (or cache) a slab migrated through.
+// which hold regardless of which cache a slab passed through.
 
 // Size classes. Heap growth (heap.grow) is geometric from MinChunkWords
 // with factor 4, so these are the sizes the runtime actually produces;
@@ -65,15 +61,6 @@ const DefaultPoolLimitBytes = 64 << 20
 // DefaultCacheChunksPerClass is the default per-worker cache bound, in
 // chunks per size class (≈ 1.9 MiB per worker when every class is full).
 const DefaultCacheChunksPerClass = 8
-
-// MaxChunkPoolShards is the hard bound on pool shards. Shard structures are
-// allocated up front and never freed, so reconfiguring the shard count
-// (SetChunkPoolShards) can never strand a slab in a deallocated shard.
-const MaxChunkPoolShards = 64
-
-// poolStealBatch is how many slabs a home-shard miss migrates from the
-// victim shard in one steal (the returned slab plus up to batch-1 extras).
-const poolStealBatch = 4
 
 // NumSizeClasses reports how many size classes the pool manages.
 func NumSizeClasses() int { return numClasses }
@@ -129,7 +116,6 @@ var allocCounters struct {
 	toCache     atomic.Int64
 	toPool      atomic.Int64
 	toOS        atomic.Int64
-	shardSteals atomic.Int64
 	dirIDOps    atomic.Int64
 	zeroedWords atomic.Int64
 }
@@ -145,7 +131,7 @@ func countDirIDOp() { allocCounters.dirIDOps.Add(1) }
 type AllocStats struct {
 	Acquires    int64 // chunk acquisitions through AcquireChunk (pooled classes)
 	CacheHits   int64 // served by the calling worker's cache (no shared state)
-	PoolHits    int64 // served by the sharded global pool (one shard-mutex hold)
+	PoolHits    int64 // served by the global pool (one mutex hold)
 	FreshChunks int64 // served by a fresh OS allocation
 	Oversize    int64 // beyond the largest class; always fresh, never pooled
 
@@ -156,7 +142,6 @@ type AllocStats struct {
 	// hard-frees, and pool-trim evictions (evicted slabs were counted
 	// ToPool when first parked, so destination sums can exceed Recycles)
 
-	ShardSteals int64 // slabs served or migrated from a non-home pool shard
 	DirIDOps    int64 // idMu-serialized chunk-ID directory operations
 	ZeroedWords int64 // dirty words cleared when reusing parked slabs
 
@@ -175,7 +160,6 @@ func (a AllocStats) Sub(b AllocStats) AllocStats {
 	a.ToCache -= b.ToCache
 	a.ToPool -= b.ToPool
 	a.ToOS -= b.ToOS
-	a.ShardSteals -= b.ShardSteals
 	a.DirIDOps -= b.DirIDOps
 	a.ZeroedWords -= b.ZeroedWords
 	return a
@@ -210,6 +194,13 @@ func (a AllocStats) RecycleRate() float64 {
 
 // AllocSnapshot returns the allocator statistics so far.
 func AllocSnapshot() AllocStats {
+	pool.mu.Lock()
+	var chunks int64
+	for _, st := range pool.free {
+		chunks += int64(len(st))
+	}
+	bytes := pool.bytes
+	pool.mu.Unlock()
 	return AllocStats{
 		Acquires:     allocCounters.acquires.Load(),
 		CacheHits:    allocCounters.cacheHits.Load(),
@@ -220,82 +211,24 @@ func AllocSnapshot() AllocStats {
 		ToCache:      allocCounters.toCache.Load(),
 		ToPool:       allocCounters.toPool.Load(),
 		ToOS:         allocCounters.toOS.Load(),
-		ShardSteals:  allocCounters.shardSteals.Load(),
 		DirIDOps:     allocCounters.dirIDOps.Load(),
 		ZeroedWords:  allocCounters.zeroedWords.Load(),
-		PooledChunks: poolChunks.Load(),
-		PooledBytes:  poolBytes.Load(),
+		PooledChunks: chunks,
+		PooledBytes:  bytes,
 	}
 }
 
-// poolShard is one lock's worth of the global pool: a per-class stack of
-// parked slabs. Padded so neighbouring shards' mutexes do not share a
-// cache line.
-type poolShard struct {
-	mu   sync.Mutex
-	free [numClasses][]slab
-	_    [64]byte
+// pool is the global tier: one stack of parked slabs per size class, the
+// bytes they hold and the high-water limit, all under one mutex. It is a
+// leaf lock: nothing else is acquired while holding it.
+var pool struct {
+	mu    sync.Mutex
+	free  [numClasses][]slab
+	bytes int64 // bytes parked
+	limit int64 // high-water mark in bytes; 0 disables pooling
 }
 
-// The sharded global pool. Shard structures for the maximum count are
-// allocated up front; poolShardCount says how many are currently in use
-// (trim and drain always sweep all MaxChunkPoolShards, so slabs parked
-// under an older, larger count are still found). The byte/chunk gauges and
-// the high-water limit are global atomics — one shard-local mutex plus one
-// or two global atomic adds per pool operation, versus one global mutex
-// serializing every operation before sharding.
-var (
-	poolShards     [MaxChunkPoolShards]poolShard
-	poolShardCount atomic.Int32
-	poolChunks     atomic.Int64
-	poolBytes      atomic.Int64
-	poolLimit      atomic.Int64
-
-	cacheHomes atomic.Int64 // round-robin home-shard assignment for caches
-)
-
-func init() {
-	poolLimit.Store(DefaultPoolLimitBytes)
-	poolShardCount.Store(1)
-}
-
-// SetChunkPoolShards sets how many free-list shards the global pool
-// spreads over, clamped to [1, MaxChunkPoolShards]. Slabs parked outside
-// the new range are migrated into it. Like SetChunkPoolLimit this is a
-// process-global configuration point: the runtime calls it at startup
-// (one shard per worker), not concurrently with allocator traffic. It
-// returns the previous shard count so callers can restore it.
-func SetChunkPoolShards(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > MaxChunkPoolShards {
-		n = MaxChunkPoolShards
-	}
-	prev := int(poolShardCount.Swap(int32(n)))
-	// Migrate slabs stranded above the new count into in-range shards so
-	// gets (which scan only active shards) can still find them.
-	for i := n; i < MaxChunkPoolShards; i++ {
-		src := &poolShards[i]
-		src.mu.Lock()
-		var moved [numClasses][]slab
-		for cls := range src.free {
-			moved[cls] = src.free[cls]
-			src.free[cls] = nil
-		}
-		src.mu.Unlock()
-		dst := &poolShards[i%n]
-		dst.mu.Lock()
-		for cls := range moved {
-			dst.free[cls] = append(dst.free[cls], moved[cls]...)
-		}
-		dst.mu.Unlock()
-	}
-	return prev
-}
-
-// ChunkPoolShards returns the number of active pool shards.
-func ChunkPoolShards() int { return int(poolShardCount.Load()) }
+func init() { pool.limit = DefaultPoolLimitBytes }
 
 // SetChunkPoolLimit sets the pool's high-water mark in bytes: recycled
 // slabs that would push the pooled total past it are released to the OS
@@ -307,13 +240,19 @@ func SetChunkPoolLimit(bytes int64) {
 	if bytes < 0 {
 		bytes = 0
 	}
-	poolLimit.Store(bytes)
+	pool.mu.Lock()
+	pool.limit = bytes
+	pool.mu.Unlock()
 	trimPool(bytes)
 }
 
 // ChunkPoolLimit returns the pool's current high-water mark in bytes
 // (0 = pooling disabled), so a test that changes it can restore it.
-func ChunkPoolLimit() int64 { return poolLimit.Load() }
+func ChunkPoolLimit() int64 {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	return pool.limit
+}
 
 // DrainChunkPool releases every pooled slab to the OS and reports how many
 // chunks it freed. Leak tests and memory-pressure hooks use it; the pool
@@ -322,25 +261,21 @@ func DrainChunkPool() int {
 	return trimPool(0)
 }
 
-// trimPool removes slabs (largest classes first, sweeping every shard)
-// until the pooled total is at most target bytes, destroying them outside
-// the shard locks. Returns the number of slabs destroyed.
+// trimPool removes slabs (largest classes first) until the pooled total
+// is at most target bytes, destroying them outside the pool lock. Returns
+// the number of slabs destroyed.
 func trimPool(target int64) int {
 	var out []slab
-	for cls := numClasses - 1; cls >= 0 && poolBytes.Load() > target; cls-- {
-		for i := 0; i < MaxChunkPoolShards && poolBytes.Load() > target; i++ {
-			sh := &poolShards[i]
-			sh.mu.Lock()
-			for n := len(sh.free[cls]); n > 0 && poolBytes.Load() > target; n-- {
-				s := sh.free[cls][n-1]
-				sh.free[cls] = sh.free[cls][:n-1]
-				poolChunks.Add(-1)
-				poolBytes.Add(-int64(len(s.data)) * 8)
-				out = append(out, s)
-			}
-			sh.mu.Unlock()
+	pool.mu.Lock()
+	for cls := numClasses - 1; cls >= 0 && pool.bytes > target; cls-- {
+		for n := len(pool.free[cls]); n > 0 && pool.bytes > target; n-- {
+			s := pool.free[cls][n-1]
+			pool.free[cls] = pool.free[cls][:n-1]
+			pool.bytes -= int64(len(s.data)) * 8
+			out = append(out, s)
 		}
 	}
+	pool.mu.Unlock()
 	for _, s := range out {
 		destroySlab(s)
 	}
@@ -356,14 +291,17 @@ func destroySlab(s slab) {
 }
 
 // PooledBytes reports the bytes currently parked in the global pool.
-func PooledBytes() int64 { return poolBytes.Load() }
+func PooledBytes() int64 {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	return pool.bytes
+}
 
 // ChunkCache is one worker's private chunk cache: a small per-size-class
 // stack of recycled slabs owned by exactly one worker goroutine, so
 // acquiring from it and releasing into it take no shared-state operations
 // at all. Capacity is bounded (perClass chunks per size class); overflow
-// goes to the cache's home shard of the global pool. The zero value is
-// unusable — use NewChunkCache.
+// goes to the global pool. The zero value is unusable — use NewChunkCache.
 //
 // Ownership rule: a ChunkCache may only ever be touched by the goroutine
 // of the worker that owns it. The runtime threads the CALLING task's cache
@@ -372,7 +310,6 @@ func PooledBytes() int64 { return poolBytes.Load() }
 // safe even when promoting into a shared ancestor or collecting a zone.
 type ChunkCache struct {
 	perClass int
-	home     int // preferred pool shard (mod the active shard count at use)
 	owner    int // owning worker ID + 1 for trace attribution; 0 = unowned
 	classes  [numClasses][]slab
 	held     int
@@ -380,14 +317,12 @@ type ChunkCache struct {
 }
 
 // NewChunkCache creates a cache bounded at perClass chunks per size class
-// (≤ 0 selects DefaultCacheChunksPerClass). Caches are assigned home pool
-// shards round-robin, so the pool traffic of P workers spreads over
-// min(P, shards) locks.
+// (≤ 0 selects DefaultCacheChunksPerClass).
 func NewChunkCache(perClass int) *ChunkCache {
 	if perClass <= 0 {
 		perClass = DefaultCacheChunksPerClass
 	}
-	return &ChunkCache{perClass: perClass, home: int(cacheHomes.Add(1) - 1)}
+	return &ChunkCache{perClass: perClass}
 }
 
 // HeldChunks reports how many chunks the cache is holding.
@@ -427,15 +362,15 @@ func (cc *ChunkCache) put(cls int, s slab) bool {
 	return true
 }
 
-// Flush returns every cached slab to the cache's home pool shard (or the
-// OS, when the pool is at its high-water mark). Workers call it when they
-// go cold (sched's idle trim) and the runtime calls it at Close; only the
-// owning worker goroutine (or the runtime after the workers have exited)
-// may call it.
+// Flush returns every cached slab to the global pool (or the OS, when the
+// pool is at its high-water mark). Workers call it when they go cold
+// (sched's idle trim) and the runtime calls it at Close; only the owning
+// worker goroutine (or the runtime after the workers have exited) may
+// call it.
 func (cc *ChunkCache) Flush() {
 	for cls := range cc.classes {
 		for _, s := range cc.classes[cls] {
-			poolPut(cc.home, cls, s)
+			poolPut(cls, s)
 		}
 		cc.classes[cls] = cc.classes[cls][:0]
 	}
@@ -443,72 +378,39 @@ func (cc *ChunkCache) Flush() {
 	cc.heldB = 0
 }
 
-// poolPut parks a slab in the given home shard of the global pool, or
-// destroys it when the pool is at its high-water mark (or pooling is
-// disabled). The limit check is one atomic add-then-test against the
-// global byte gauge, so the high-water semantics are independent of the
-// shard count.
-func poolPut(home, cls int, s slab) {
+// poolPut parks a slab in the global pool, or destroys it when the pool
+// is at its high-water mark (or pooling is disabled).
+func poolPut(cls int, s slab) {
 	bytes := int64(len(s.data)) * 8
-	if poolBytes.Add(bytes) > poolLimit.Load() {
-		poolBytes.Add(-bytes)
+	pool.mu.Lock()
+	if pool.bytes+bytes > pool.limit {
+		pool.mu.Unlock()
 		destroySlab(s)
 		return
 	}
-	sh := &poolShards[home%ChunkPoolShards()]
-	sh.mu.Lock()
-	sh.free[cls] = append(sh.free[cls], s)
-	sh.mu.Unlock()
-	poolChunks.Add(1)
+	pool.free[cls] = append(pool.free[cls], s)
+	pool.bytes += bytes
+	pool.mu.Unlock()
 	allocCounters.toPool.Add(1)
 }
 
-// poolGet serves a slab of class cls, trying the home shard first and then
-// stealing round-robin from the other shards. A successful cross-shard
-// steal migrates up to poolStealBatch-1 extra slabs into the home shard,
-// so a persistent producer-consumer imbalance between workers costs O(1)
-// amortized cross-shard locks, not one per chunk.
-func poolGet(home, cls int) (s slab, stolen, ok bool) {
-	count := ChunkPoolShards()
-	home %= count
-	for i := 0; i < count; i++ {
-		sh := &poolShards[(home+i)%count]
-		sh.mu.Lock()
-		n := len(sh.free[cls])
-		if n == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		s := sh.free[cls][n-1]
-		taken := 1
-		var extras []slab
-		if i != 0 {
-			for n-taken > 0 && taken < poolStealBatch {
-				extras = append(extras, sh.free[cls][n-taken-1])
-				taken++
-			}
-		}
-		sh.free[cls] = sh.free[cls][:n-taken]
-		sh.mu.Unlock()
-		poolChunks.Add(-1)
-		poolBytes.Add(-int64(len(s.data)) * 8)
-		if i != 0 {
-			allocCounters.shardSteals.Add(int64(taken))
-			if len(extras) > 0 {
-				dst := &poolShards[home]
-				dst.mu.Lock()
-				dst.free[cls] = append(dst.free[cls], extras...)
-				dst.mu.Unlock()
-			}
-		}
-		return s, i != 0, true
+// poolGet serves a parked slab of class cls, if the pool has one.
+func poolGet(cls int) (slab, bool) {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	n := len(pool.free[cls])
+	if n == 0 {
+		return slab{}, false
 	}
-	return slab{}, false, false
+	s := pool.free[cls][n-1]
+	pool.free[cls] = pool.free[cls][:n-1]
+	pool.bytes -= int64(len(s.data)) * 8
+	return s, true
 }
 
 // AcquireChunk allocates and registers a chunk able to hold words payload
 // words, recycling through cc (the calling worker's cache, nil when the
-// caller has none) and the sharded global pool before falling back to a
+// caller has none) and the global pool before falling back to a
 // fresh OS allocation. Class-sized requests round up to their class so the
 // slab is reusable; oversize requests (beyond the largest class) are
 // allocated exactly and bypass recycling.
@@ -522,26 +424,20 @@ func AcquireChunk(cc *ChunkCache, words int) *Chunk {
 		return NewChunk(words)
 	}
 	allocCounters.acquires.Add(1)
-	home := 0
 	if cc != nil {
 		if s, ok := cc.take(cls); ok {
 			allocCounters.cacheHits.Add(1)
 			return registerRecycled(s)
 		}
-		home = cc.home
 	}
-	if s, stolen, ok := poolGet(home, cls); ok {
+	if s, ok := poolGet(cls); ok {
 		allocCounters.poolHits.Add(1)
 		if trace.Enabled() {
 			track := -1
 			if cc != nil {
 				track = cc.Owner()
 			}
-			ev := trace.EvPoolRefill
-			if stolen {
-				ev = trace.EvPoolSteal
-			}
-			trace.Emit(track, ev, uint32(cls), 0)
+			trace.Emit(track, trace.EvPoolRefill, uint32(cls), 0)
 		}
 		return registerRecycled(s)
 	}
@@ -570,15 +466,15 @@ func registerRecycled(s slab) *Chunk {
 			"mem: reusing chunk %d whose directory entry was never invalidated", s.id))
 	}
 	idInUse.Add(1)
-	accountAlloc(s.id, int64(len(s.data))*8)
+	accountAlloc(int64(len(s.data)) * 8)
 	return c
 }
 
 // RecycleChunk releases a chunk back to the allocator: its directory entry
 // is invalidated first (so any surviving ObjPtr into it panics in GetChunk,
 // exactly as after FreeChunk, and a double release panics here), and the
-// slab is parked dirty — worker cache first, then the cache's home shard
-// of the global pool, then released to the OS when the pool is at its
+// slab is parked dirty — worker cache first, then the global pool, then
+// released to the OS when the pool is at its
 // high-water mark — carrying its used watermark so reuse re-zeroes exactly
 // the dirtied prefix. cc may be nil (no cache tier). Oversize and
 // non-class chunks are hard-freed.
@@ -600,9 +496,5 @@ func RecycleChunk(cc *ChunkCache, c *Chunk) {
 		allocCounters.toCache.Add(1)
 		return
 	}
-	home := 0
-	if cc != nil {
-		home = cc.home
-	}
-	poolPut(home, cls, s)
+	poolPut(cls, s)
 }

@@ -1,20 +1,18 @@
 package mem
 
 import (
+	"sync"
 	"testing"
 )
 
-// resetPool drains the global pool and restores the default limit and a
-// single free-list shard, so tests that count pool contents do not see
-// other tests' slabs (or shard layouts).
+// resetPool drains the global pool and restores the default limit, so
+// tests that count pool contents do not see other tests' slabs.
 func resetPool(t *testing.T) {
 	t.Helper()
 	SetChunkPoolLimit(DefaultPoolLimitBytes)
-	SetChunkPoolShards(1)
 	DrainChunkPool()
 	t.Cleanup(func() {
 		SetChunkPoolLimit(DefaultPoolLimitBytes)
-		SetChunkPoolShards(1)
 		DrainChunkPool()
 	})
 }
@@ -222,5 +220,135 @@ func TestSizeClassesCoverGeometricGrowth(t *testing.T) {
 	}
 	if classFor(2*DefaultChunkWords+1) != -1 {
 		t.Fatal("requests beyond the largest class must be oversize")
+	}
+}
+
+// The tests below hand a slab from one worker cache to another through the
+// pool: cache A recycles it and flushes, cache B acquires it. Every
+// recycling guarantee must hold across that handoff.
+
+func TestDoubleRecyclePanicsAfterCacheHandoff(t *testing.T) {
+	resetPool(t)
+	ccA := NewChunkCache(1)
+	stale := AcquireChunk(ccA, MinChunkWords)
+	id := stale.ID()
+	RecycleChunk(ccA, stale) // parked in A, entry invalidated
+	ccA.Flush()
+
+	reborn := AcquireChunk(NewChunkCache(1), MinChunkWords)
+	if reborn.ID() != id {
+		t.Fatalf("cache B got slab %d, want the parked slab %d", reborn.ID(), id)
+	}
+	// The stale *Chunk from the slab's previous life must not be able to
+	// release the slab's next life: its directory CAS sees a different
+	// Chunk object and panics.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("double recycle after a cache handoff did not panic")
+			}
+		}()
+		RecycleChunk(nil, stale)
+	}()
+	RecycleChunk(nil, reborn)
+}
+
+func TestStaleObjPtrPanicsWhileParkedInPool(t *testing.T) {
+	resetPool(t)
+	ccA := NewChunkCache(3)
+	var ids []uint32
+	for _, c := range []*Chunk{
+		AcquireChunk(ccA, MinChunkWords),
+		AcquireChunk(ccA, MinChunkWords),
+		AcquireChunk(ccA, MinChunkWords),
+	} {
+		ids = append(ids, c.ID())
+		RecycleChunk(ccA, c)
+	}
+	ccA.Flush()
+
+	// Cache B takes the newest slab; the older ones stay parked and
+	// unregistered, so a surviving pointer into one must panic.
+	c := AcquireChunk(NewChunkCache(1), MinChunkWords)
+	if c.ID() != ids[2] {
+		t.Fatalf("cache B got %d, want newest parked slab %d", c.ID(), ids[2])
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("stale ID into a parked slab did not panic")
+			}
+		}()
+		GetChunk(ids[0])
+	}()
+	RecycleChunk(nil, c)
+}
+
+func TestRecycledSlabZeroedAfterCacheHandoff(t *testing.T) {
+	resetPool(t)
+	ccA := NewChunkCache(1)
+	c := AcquireChunk(ccA, MinChunkWords)
+	if off, ok := c.Bump(8); !ok || off != 0 {
+		t.Fatalf("bump failed: %d %v", off, ok)
+	}
+	for i := 0; i < 8; i++ {
+		c.Data[i] = ^uint64(0)
+	}
+	RecycleChunk(ccA, c)
+	ccA.Flush()
+
+	reborn := AcquireChunk(NewChunkCache(1), MinChunkWords)
+	for i := 0; i < 8; i++ {
+		if reborn.Data[i] != 0 {
+			t.Fatalf("word %d not re-zeroed after a cache handoff: %#x", i, reborn.Data[i])
+		}
+	}
+	if reborn.Used() != 0 {
+		t.Fatalf("reborn slab Used = %d, want 0", reborn.Used())
+	}
+	RecycleChunk(nil, reborn)
+}
+
+func TestPoolAccountingExactUnderContention(t *testing.T) {
+	resetPool(t)
+	const (
+		workers = 8
+		rounds  = 200
+	)
+	var wg sync.WaitGroup
+	liveBefore, pooledBefore := LiveBytes(), PooledBytes()
+	inUseBefore := ChunksInUse()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cc := NewChunkCache(2)
+			for i := 0; i < rounds; i++ {
+				a := AcquireChunk(cc, MinChunkWords)
+				b := AcquireChunk(cc, 4*MinChunkWords)
+				a.Bump(4)
+				a.Data[0] = uint64(w)
+				RecycleChunk(cc, a)
+				RecycleChunk(cc, b)
+			}
+			cc.Flush()
+		}(w)
+	}
+	wg.Wait()
+	if got := LiveBytes(); got != liveBefore {
+		t.Fatalf("LiveBytes = %d after balanced churn, want %d", got, liveBefore)
+	}
+	if got := ChunksInUse(); got != inUseBefore {
+		t.Fatalf("ChunksInUse = %d after balanced churn, want %d", got, inUseBefore)
+	}
+	if got := PooledBytes(); got < pooledBefore {
+		t.Fatalf("PooledBytes = %d, want >= %d", got, pooledBefore)
+	}
+	if hw, live := HighWaterBytes(), LiveBytes(); hw < live {
+		t.Fatalf("high water %d below live %d", hw, live)
+	}
+	drained := DrainChunkPool()
+	if got := PooledBytes(); got != 0 {
+		t.Fatalf("PooledBytes = %d after drain (%d slabs), want 0", got, drained)
 	}
 }

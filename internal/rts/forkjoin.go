@@ -42,9 +42,7 @@ type frame struct {
 // it on the worker deque, and records it on the task's pending list for
 // the abort-time drain.
 func (t *Task) publish(fr *frame) {
-	if t.ses != nil {
-		t.ses.outstanding.Add(1)
-	}
+	t.ses.outstanding.Add(1)
 	t.w.Push(fr.sf)
 	t.pending = append(t.pending, fr.sf)
 }
@@ -57,7 +55,7 @@ func (t *Task) joined(fr *frame, inline bool) {
 		panic("rts: pending-frame stack out of sync at join")
 	}
 	t.pending = t.pending[:len(t.pending)-1]
-	if inline && t.ses != nil {
+	if inline {
 		t.ses.frameDone()
 	}
 }
@@ -188,9 +186,7 @@ func (t *Task) forkJoin(env mem.ObjPtr, f, g Thunk, fw, gw ScalarThunk) (l, r me
 // count (which is what finally lets reclamation proceed).
 func (fr *frame) runStolen(thief *sched.Worker, g Thunk, gw ScalarThunk) {
 	r, ses := fr.owner.rt, fr.owner.ses
-	if ses != nil {
-		defer ses.frameDone() // last: runs after st.finish
-	}
+	defer ses.frameDone() // last: runs after st.finish
 	var base *heap.Heap
 	if r.cfg.Mode == ParMem {
 		base = heap.NewChild(fr.forkHeap)
@@ -201,7 +197,10 @@ func (fr *frame) runStolen(thief *sched.Worker, g Thunk, gw ScalarThunk) {
 		fr.childSH = st.sh
 	}
 	defer st.finish()
-	run := func() {
+	if ses.aborted.Load() { // an aborted session leaves the arm unrun
+		return
+	}
+	ses.guard(st, func() {
 		env := fr.stolenEnv(st)
 		mark := st.PushRoot(&env)
 		runArm(st, env, g, gw, &fr.result, &fr.scalar)
@@ -211,13 +210,7 @@ func (fr *frame) runStolen(thief *sched.Worker, g Thunk, gw ScalarThunk) {
 			// object graph to the shared global heap (DLG invariant).
 			fr.result = core.PromoteTo(st.chunkCache(), &st.Ops, r.rootHeap, fr.result)
 		}
-	}
-	switch {
-	case ses == nil:
-		run()
-	case !ses.aborted.Load(): // an aborted session leaves the arm unrun
-		ses.guard(st, run)
-	}
+	})
 }
 
 // stolenEnv resolves the environment seen by a stolen frame. In Manticore

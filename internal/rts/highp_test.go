@@ -16,7 +16,7 @@ import (
 // sees both the tightly serialized interleavings of a small P and the
 // wide ones of an oversubscribed scheduler. These are the tests that
 // exercise concurrent zone collections, session attach and release, the
-// sharded pool, and the striped totals together under real mutator
+// chunk pool, and the striped totals together under real mutator
 // traffic.
 
 // highPs returns the deduplicated sweep {2, 8, NumCPU}, smallest first.

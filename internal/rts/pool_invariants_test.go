@@ -22,28 +22,19 @@ func poolTestConfig(t *testing.T, mode Mode, procs int) Config {
 // in all four systems with a tiny pool bound, checking that the recycling
 // allocator actually recycled, that every chunk is handed back at Close
 // (pooled slabs are unregistered, so ChunksInUse must return to its
-// baseline), that the pool runs one shard per worker for exactly the
-// runtime's lifetime, and that cross-mode results agree. Run under -race
+// baseline), and that cross-mode results agree. Run under -race
 // this is also the allocator's concurrency test: chunks migrate worker →
 // cache → pool → other worker throughout.
 func TestPooledAllocatorAllModes(t *testing.T) {
 	base := mem.ChunksInUse()
-	prevShards := mem.SetChunkPoolShards(3)
-	t.Cleanup(func() { mem.SetChunkPoolShards(prevShards) })
 	for _, mode := range allModes {
 		before := mem.AllocSnapshot()
 		r := New(poolTestConfig(t, mode, 4))
-		if got := mem.ChunkPoolShards(); got != 4 {
-			t.Fatalf("%v: %d pool shards under a 4-worker runtime, want one per worker", mode, got)
-		}
 		got := r.Run(func(task *Task) uint64 {
 			root := buildTree(task, 8)
 			return sumTree(task, root)
 		})
 		r.Close()
-		if got := mem.ChunkPoolShards(); got != 3 {
-			t.Fatalf("%v: %d pool shards after Close, want the previous 3 restored", mode, got)
-		}
 		al := mem.AllocSnapshot().Sub(before)
 		if got != 256 {
 			t.Fatalf("%v: tree sum = %d, want 256", mode, got)

@@ -41,11 +41,10 @@ type Runtime struct {
 	// already had).
 	totals [totalsShardCount]totalsShard
 
-	gcNanos        atomic.Int64
-	baselineBytes  int64
-	baselineAlloc  mem.AllocStats
-	prevPoolShards int  // pool shard count before New overrode it; Close restores
-	traceOwner     bool // this runtime started the flight recorder; Close stops it
+	gcNanos       atomic.Int64
+	baselineBytes int64
+	baselineAlloc mem.AllocStats
+	traceOwner    bool // this runtime started the flight recorder; Close stops it
 
 	// Session accounting (session.go): every unit of work — including a
 	// plain Run — executes as a root-level session.
@@ -130,11 +129,8 @@ func New(cfg Config) *Runtime {
 		r.traceOwner = trace.Start(cfg.Procs, cfg.TraceBufEvents)
 	}
 
-	// Recycling allocator: give the process-global pool one free-list shard
-	// per worker (safe — only one Runtime is ever active; Close restores the
-	// previous count) and remember the counter baseline so Stats reports
+	// Recycling allocator: remember the counter baseline so Stats reports
 	// this runtime's allocator traffic, not the process's.
-	r.prevPoolShards = mem.SetChunkPoolShards(cfg.Procs)
 	r.baselineAlloc = mem.AllocSnapshot()
 
 	if cfg.Mode != STW {
@@ -311,7 +307,6 @@ func (r *Runtime) Close() {
 	if r.rootHeap != nil && r.rootHeap.IsAlive() {
 		heap.FreeChunkList(r.rootHeap.TakeChunks())
 	}
-	mem.SetChunkPoolShards(r.prevPoolShards)
 	if r.traceOwner {
 		trace.Stop()
 	}

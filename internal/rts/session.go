@@ -88,14 +88,9 @@ func (e *AbortError) Unwrap() error { return e.Reason }
 // every sibling task stops at its next allocation safe point and the
 // subtree — all memory the request staged — is reclaimed wholesale exactly
 // as a crash would be, with no per-object undo. Abort never returns.
-// Session.Wait returns the *AbortError. Outside a session (Runtime.Run)
-// the AbortError itself is panicked.
+// Session.Wait returns the *AbortError, and Runtime.Run re-panics it.
 func (t *Task) Abort(result uint64, reason error) {
-	err := &AbortError{Reason: reason, Result: result}
-	if t.ses == nil {
-		panic(err)
-	}
-	t.ses.fail(err)
+	t.ses.fail(&AbortError{Reason: reason, Result: result})
 	panic(sessionAbort{})
 }
 
@@ -385,9 +380,6 @@ func (s *Session) reclaim(w *sched.Worker, res uint64) {
 // allocation budget.
 func (t *Task) allocGate(words int) {
 	s := t.ses
-	if s == nil {
-		return
-	}
 	if s.aborted.Load() {
 		panic(sessionAbort{})
 	}
@@ -416,9 +408,7 @@ func (t *Task) drainPending() {
 			panic("rts: foreign frame popped while unwinding a session abort")
 		}
 		t.pending = t.pending[:len(t.pending)-1]
-		if t.ses != nil {
-			t.ses.frameDone()
-		}
+		t.ses.frameDone()
 	}
 }
 

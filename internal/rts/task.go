@@ -89,16 +89,14 @@ func (t *Task) finish() {
 	// Publish the tail of coalesced sub-microsecond climbs (no-op when
 	// tracing is off or nothing accumulated).
 	t.pbuf.FlushClimbTrace()
-	if t.ses != nil {
-		t.ses.addHeaps(t.madeHeaps)
-		t.madeHeaps = nil
-		// Latency attribution: how much of this task's wall time went to
-		// collections and to promotion climbs. Summed per session so the
-		// serving layer can split a request's latency into queue / GC /
-		// barrier / mutator (serve.ServeStats).
-		t.ses.gcAttrNanos.Add(t.gcNanos)
-		t.ses.barrierAttrNanos.Add(t.Ops.PromoteNanos)
-	}
+	t.ses.addHeaps(t.madeHeaps)
+	t.madeHeaps = nil
+	// Latency attribution: how much of this task's wall time went to
+	// collections and to promotion climbs. Summed per session so the
+	// serving layer can split a request's latency into queue / GC /
+	// barrier / mutator (serve.ServeStats).
+	t.ses.gcAttrNanos.Add(t.gcNanos)
+	t.ses.barrierAttrNanos.Add(t.Ops.PromoteNanos)
 	sh := r.totalsShardFor(t.w)
 	sh.mu.Lock()
 	sh.ops.Add(&t.Ops)

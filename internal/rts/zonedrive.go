@@ -42,11 +42,7 @@ import (
 // cross-request GC concurrency).
 func (t *Task) collectZone(h *heap.Heap, kind gc.ZoneKind) {
 	start := time.Now()
-	var fam uint64
-	if t.ses != nil {
-		fam = t.ses.id
-	}
-	stats := t.rt.zones.Collect(t.chunkCache(), fam, h, t.roots, kind)
+	stats := t.rt.zones.Collect(t.chunkCache(), t.ses.id, h, t.roots, kind)
 	t.gcNanos += time.Since(start).Nanoseconds()
 	t.gcStats.Add(stats)
 }
@@ -75,7 +71,7 @@ func (t *Task) maybeCollectJoin(extra ...*mem.ObjPtr) {
 // among them) merge into the super-root instead of dying, and keep the
 // configured policy throughout.
 func (t *Task) shouldCollect(h *heap.Heap) bool {
-	if t.ses != nil && !t.ses.pin && h.UsedWords() < gc.DefaultPolicy().MinWords {
+	if !t.ses.pin && h.UsedWords() < gc.DefaultPolicy().MinWords {
 		return false
 	}
 	return t.rt.cfg.Policy.ShouldCollect(h)

@@ -75,7 +75,6 @@ var evInfo = [evCount]struct{ name, cat string }{
 	EvSubmit:     {"session-submit", "serve"},
 	EvSTW:        {"stw-collect", "gc"},
 	EvPoolRefill: {"pool-refill", "alloc"},
-	EvPoolSteal:  {"pool-steal", "alloc"},
 	EvShed:       {"shed", "serve"},
 	EvDrain:      {"drain", "net"},
 	EvQueue:      {"queue-wait", "serve"},
@@ -176,7 +175,7 @@ func spanArgs(typ Type, begAux uint32, begArg uint64, endAux uint32, endArg uint
 
 func instantArgs(e Event) map[string]any {
 	switch e.Type {
-	case EvPoolRefill, EvPoolSteal:
+	case EvPoolRefill:
 		return map[string]any{"class": e.Aux}
 	case EvClimb: // coalesced sub-microsecond climbs (core.PromoteBuf)
 		return map[string]any{

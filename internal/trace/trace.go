@@ -25,8 +25,8 @@ import (
 	"time"
 )
 
-// Type identifies what an event describes. Values are stable: they appear
-// in exported traces and in scripts/checktrace.
+// Type identifies what an event describes. Exported traces (and
+// scripts/checktrace) carry the names in evInfo, not these values.
 type Type uint8
 
 const (
@@ -36,8 +36,7 @@ const (
 	EvSession         // session lifetime (span): arg = session ID, end aux = outcome (0 ok, 1 failed)
 	EvSubmit          // session submitted (instant): arg = session ID
 	EvSTW             // stop-the-world collection (span): end arg = words copied
-	EvPoolRefill      // worker cache refilled from a pool shard (instant): aux = size class
-	EvPoolSteal       // pool refill crossed to another shard (instant): aux = size class
+	EvPoolRefill      // worker cache miss served by the global pool (instant): aux = size class
 	EvShed            // request shed (instant): aux = shed reason, arg = queue depth
 	EvDrain           // drain phase (span): aux = drain scope
 	EvQueue           // request queued behind admission (span): end arg = session ID

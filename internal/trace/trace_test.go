@@ -194,7 +194,7 @@ func TestEmitDoesNotAllocate(t *testing.T) {
 	}
 	t.Cleanup(Stop)
 	if n := testing.AllocsPerRun(1000, func() {
-		Emit(1, EvPoolSteal, 7, 42)
+		Emit(1, EvPoolRefill, 7, 42)
 	}); n != 0 {
 		t.Fatalf("Emit allocates %v per call, want 0", n)
 	}
