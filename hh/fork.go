@@ -98,6 +98,12 @@ func finishResult[T any](out *T, p mem.ObjPtr) {
 // them re-read and re-rooted as an Env. Arms must not capture Ptr or Ref
 // values (see the package documentation); results that are managed
 // pointers must be returned as Ptr.
+//
+// In a session started with Submit (unpinned), a fork made while no worker
+// is idle runs f and then g on the calling task, as in Seq mode: no heap
+// level, no stealable frame, and no promotion of what the arms write into
+// shared objects. Run's pinned sessions always fork as the paper does.
+// Results are the same either way.
 func Fork2[A, B any](t *Task, env Binding, f func(t *Task, e *Env) A, g func(t *Task, e *Env) B) (A, B) {
 	packed := t.packEnv(env)
 	var ra A

@@ -13,6 +13,9 @@ import (
 // Grain is the sequential cutoff and must be at least 1.
 
 // ParDo runs body over [lo, hi) in parallel, splitting down to grain.
+// Each split is a Fork2-style fork, so in an unpinned session a split made
+// while every worker is busy runs its halves one after the other on the
+// calling task (see Fork2).
 func ParDo(t *Task, env Binding, lo, hi, grain int, body func(t *Task, e *Env, lo, hi int)) {
 	packed := t.packEnv(env)
 	n := len(env)

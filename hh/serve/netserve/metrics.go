@@ -120,6 +120,11 @@ func (f *Frontend) WriteMetrics(buf *bytes.Buffer) {
 	fmt.Fprintf(buf, "hh_sessions_total{outcome=\"failed\"} %d\n", rt.Sessions.Failed)
 	fmt.Fprintf(buf, "# TYPE hh_sessions_peak gauge\nhh_sessions_peak %d\n", rt.Sessions.PeakLive)
 	fmt.Fprintf(buf, "# TYPE hh_steals_total counter\nhh_steals_total %d\n", rt.Steals)
+	// Forks by path: inline ran both arms on the forking task (Seq, or no
+	// idle worker to steal the right arm); parallel published a frame.
+	fmt.Fprintf(buf, "# TYPE hh_forks_total counter\n")
+	fmt.Fprintf(buf, "hh_forks_total{path=\"inline\"} %d\n", rt.Forks.Inline)
+	fmt.Fprintf(buf, "hh_forks_total{path=\"parallel\"} %d\n", rt.Forks.Parallel)
 
 	// Barrier traffic by cost class (the Figure 8 split): the fast paths
 	// never touch a heap lock, the promoting class pays a lock climb.

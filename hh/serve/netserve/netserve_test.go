@@ -426,6 +426,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"hh_latency_seconds_count 1",
 		`hh_latency_breakdown_seconds_total{phase="mutator"}`,
 		`hh_ptr_writes_total{path="fast"}`,
+		`hh_forks_total{path="inline"}`,
+		`hh_forks_total{path="parallel"}`,
 		`hh_sessions_total{outcome="completed"} 1`,
 		"hh_zone_overlap_seconds_total",
 		"hh_zone_concurrent_peak",

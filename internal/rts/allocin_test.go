@@ -65,7 +65,9 @@ func TestAllocInBornInAnchorMasterHeap(t *testing.T) {
 // TestAllocInAbortReturnsToBaseline aborts sessions whose forked arms
 // built chains of born-in-place cells in the session heap, each cell also
 // holding an arm-local object (a promotion), while a sibling arm churns.
-// Wholesale reclamation must return chunk occupancy to baseline.
+// Wholesale reclamation must return chunk occupancy to baseline. Each
+// session is submitted alone, to idle workers, so its fork takes the
+// parallel path that gives the arm a heap of its own.
 func TestAllocInAbortReturnsToBaseline(t *testing.T) {
 	errConflict := errors.New("conflict")
 	for _, procs := range []int{2, 8} {
@@ -77,9 +79,8 @@ func TestAllocInAbortReturnsToBaseline(t *testing.T) {
 			base := mem.ChunksInUse()
 
 			const nSessions = 8
-			sessions := make([]*Session, nSessions)
-			for i := range sessions {
-				sessions[i] = r.Submit(SessionOpts{}, func(task *Task) uint64 {
+			for i := 0; i < nSessions; i++ {
+				s := submitWithIdleWorkers(r, func(task *Task) uint64 {
 					arr := task.AllocMut(4, 0, mem.TagTuple)
 					mark := task.PushRoot(&arr)
 					defer task.PopRoots(mark)
@@ -99,8 +100,6 @@ func TestAllocInAbortReturnsToBaseline(t *testing.T) {
 						func(tk *Task, _ mem.ObjPtr) uint64 { return buildChurn(tk, 3000) })
 					return 0
 				})
-			}
-			for i, s := range sessions {
 				var ae *AbortError
 				if _, err := s.Wait(); !errors.As(err, &ae) || ae.Reason != errConflict {
 					t.Fatalf("session %d: err = %v, want AbortError{%v}", i, err, errConflict)
@@ -119,13 +118,14 @@ func TestAllocInAbortReturnsToBaseline(t *testing.T) {
 // TestAllocInInitPtrContract shows the InitPtr rule AllocIn makes easy to
 // break: initializing a cell born in an ancestor with a task-local object
 // is a down-pointer, and with invariant checks on it panics with an
-// *core.EntanglementError, failing only its session.
+// *core.EntanglementError, failing only its session. The check runs on a
+// parallel fork's arm, so the session forks with an idle worker waiting.
 func TestAllocInInitPtrContract(t *testing.T) {
 	cfg := testConfig(ParMem, 2)
 	cfg.CheckInvariants = true
 	r := New(cfg)
 	defer r.Close()
-	s := r.Submit(SessionOpts{}, func(task *Task) uint64 {
+	s := submitWithIdleWorkers(r, func(task *Task) uint64 {
 		arr := task.AllocMut(1, 0, mem.TagTuple)
 		mark := task.PushRoot(&arr)
 		defer task.PopRoots(mark)

@@ -51,10 +51,11 @@ func buildEntangled(task *Task, n int) uint64 {
 	return sum*7 + buildChurn(task, n/2)
 }
 
-// TestEntangledParityAllModes runs buildEntangled in concurrent sessions
-// under every mode at P = 2 and 8 and requires one checksum per session:
-// promoting writes from forked arms of concurrent sessions compute the same
-// answers as the systems that never promote.
+// TestEntangledParityAllModes runs buildEntangled in sessions under every
+// mode at P = 2 and 8 and requires one checksum per session: promoting
+// writes from forked arms compute the same answers as the systems that
+// never promote. Each session is submitted alone, to idle workers, so its
+// first fork is a parallel one and ParMem's arms promote.
 func TestEntangledParityAllModes(t *testing.T) {
 	const nSessions = 8
 	const n = 1200
@@ -67,15 +68,11 @@ func TestEntangledParityAllModes(t *testing.T) {
 				r := New(cfg)
 				defer r.Close()
 
-				sessions := make([]*Session, nSessions)
-				for i := range sessions {
-					sessions[i] = r.Submit(SessionOpts{}, func(task *Task) uint64 {
-						return buildEntangled(task, n)
-					})
-				}
 				got := make([]uint64, nSessions)
-				for i, s := range sessions {
-					res, err := s.Wait()
+				for i := range got {
+					res, err := submitWithIdleWorkers(r, func(task *Task) uint64 {
+						return buildEntangled(task, n)
+					}).Wait()
 					if err != nil {
 						t.Fatalf("session %d failed: %v", i, err)
 					}

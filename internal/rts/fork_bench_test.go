@@ -89,14 +89,27 @@ var forkAllocCeiling = map[Mode]map[string]float64{
 }
 
 // TestForkAllocs pins the Go allocations of one fork whose arms run
-// inline (P=1, no thief), for every mode and arm kind. A regression here
-// is a fork-path allocation every parallel program pays per fork.
+// inline (P=1, no thief), for every mode and arm kind, in a pinned session
+// (Runtime.Run), which keeps the paper's fork protocol. A regression here
+// is a fork-path allocation every parallel program pays per fork. The
+// unpinned ParMem row forks with its only worker busy, so it takes Seq's
+// inline path and must cost what Seq's fork costs.
 func TestForkAllocs(t *testing.T) {
+	type row struct {
+		mode  Mode
+		pin   bool
+		limit map[string]float64
+	}
+	var rows []row
 	for _, mode := range allModes {
+		rows = append(rows, row{mode, true, forkAllocCeiling[mode]})
+	}
+	rows = append(rows, row{ParMem, false, forkAllocCeiling[Seq]})
+	for _, c := range rows {
 		for _, kind := range []string{"ptr", "word"} {
-			r := New(DefaultConfig(mode, 1))
+			r := New(DefaultConfig(c.mode, 1))
 			var got float64
-			r.Run(func(task *Task) uint64 {
+			_, err := r.Submit(SessionOpts{Pin: c.pin}, func(task *Task) uint64 {
 				env := task.Alloc(0, 1, mem.TagRef)
 				mark := task.PushRoot(&env)
 				defer task.PopRoots(mark)
@@ -110,10 +123,13 @@ func TestForkAllocs(t *testing.T) {
 					}
 				})
 				return 0
-			})
+			}).Wait()
 			r.Close()
-			if want := forkAllocCeiling[mode][kind]; got > want {
-				t.Errorf("%v %s fork: %.1f allocs, want <= %.0f", mode, kind, got, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := c.limit[kind]; got > want {
+				t.Errorf("%v (pinned %v) %s fork: %.1f allocs, want <= %.0f", c.mode, c.pin, kind, got, want)
 			}
 		}
 	}

@@ -107,14 +107,26 @@ func runArm(t *Task, env mem.ObjPtr, f Thunk, fw ScalarThunk, p *mem.ObjPtr, w *
 // arm is stolen the thief bases a child superheap at the fork heap, which
 // the parent adopts and joins at the join point; the popped level is then
 // a zone with no live descendants, collected if its policy says so.
+//
+// Seq runs every fork inline, and so does an unpinned session when no
+// worker is on its idle ladder: nobody could steal the right arm before
+// its owner pops it back, so the heap level, the frame and the promotions
+// of what the arms publish upward would buy no parallelism. Pinned
+// sessions, Runtime.Run's included, always take the paper's path.
 func (t *Task) forkJoin(env mem.ObjPtr, f, g Thunk, fw, gw ScalarThunk) (l, r mem.ObjPtr, lw, rw uint64) {
 	rt := t.rt
-	if rt.cfg.Mode == Seq {
+	if rt.cfg.Mode == Seq || (!t.ses.pin && !rt.pool.HasIdle()) {
+		t.forks.Inline++
 		// Both arms run inline. The root slots are boxed here, in the
 		// branch, so that a word fork costs one 8-byte box and the parallel
 		// path's locals stay on the stack.
 		e := env
 		mark := t.PushRoot(&e)
+		if rt.gcFlag.Load() {
+			// STW's fork safe point, as on the parallel path: an inline
+			// arm that never allocates must not hold off a rendezvous.
+			t.stopForGCTask()
+		}
 		if f != nil {
 			left := f(t, e)
 			t.PushRoot(&left)
@@ -127,6 +139,7 @@ func (t *Task) forkJoin(env mem.ObjPtr, f, g Thunk, fw, gw ScalarThunk) (l, r me
 		t.PopRoots(mark)
 		return l, r, lw, rw
 	}
+	t.forks.Parallel++
 	fr := &frame{owner: t, env: env}
 	mark := t.PushRoot(&fr.env, &fr.left)
 	if rt.cfg.Mode == STW {

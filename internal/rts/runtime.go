@@ -70,10 +70,11 @@ const totalsShardCount = 16
 // totalsShard is one lock's worth of merged task counters, padded so
 // neighbouring shards' mutexes do not share a cache line.
 type totalsShard struct {
-	mu  sync.Mutex
-	ops core.Counters
-	gc  gc.Stats
-	_   [64]byte
+	mu    sync.Mutex
+	ops   core.Counters
+	gc    gc.Stats
+	forks ForkCounts
+	_     [64]byte
 }
 
 // totalsShardFor picks the stripe tasks of worker w merge into.
@@ -210,6 +211,10 @@ type Totals struct {
 	PeakMem int64 // peak chunk occupancy in bytes since New
 	Procs   int
 
+	// Forks counts forks by path: inline (Seq, or an unpinned session's
+	// fork with no idle worker) or parallel (a published frame).
+	Forks ForkCounts
+
 	// Zones describes the concurrent zone collections of the hierarchical
 	// modes: counts by kind, peak concurrency, and overlap time. Zero in
 	// STW mode.
@@ -245,6 +250,7 @@ func (r *Runtime) Stats() Totals {
 		sh.mu.Lock()
 		t.Ops.Add(&sh.ops)
 		t.GC.Add(sh.gc)
+		t.Forks.add(sh.forks)
 		sh.mu.Unlock()
 	}
 	t.Steals = r.pool.TotalSteals()

@@ -25,6 +25,7 @@ type Task struct {
 	Ops     core.Counters
 	gcStats gc.Stats
 	gcNanos int64
+	forks   ForkCounts
 
 	// pbuf is the task's promote buffer: the staging area and reusable
 	// scratch for promotion lock climbs (core.PromoteBuf). Task-private, so
@@ -101,8 +102,24 @@ func (t *Task) finish() {
 	sh.mu.Lock()
 	sh.ops.Add(&t.Ops)
 	sh.gc.Add(t.gcStats)
+	sh.forks.add(t.forks)
 	sh.mu.Unlock()
 	r.gcNanos.Add(t.gcNanos)
+}
+
+// ForkCounts counts forks by the path they took (Task.forkJoin).
+type ForkCounts struct {
+	// Inline forks ran both arms on the forking task: every Seq fork, and
+	// an unpinned session's fork while no worker was idle.
+	Inline int64
+	// Parallel forks published the right arm as a stealable frame (and in
+	// ParMem pushed a heap level).
+	Parallel int64
+}
+
+func (c *ForkCounts) add(o ForkCounts) {
+	c.Inline += o.Inline
+	c.Parallel += o.Parallel
 }
 
 // CurrentHeap returns the heap the task is allocating into.

@@ -50,7 +50,19 @@ type Worker struct {
 	// A worker that stays idle long enough flushes it back to the global
 	// pool so cold workers do not sit on warm chunks.
 	Chunks *mem.ChunkCache
+
+	// idle is set while the worker is on its idle ladder: from its first
+	// look that found no frame until it finds one or leaves the ladder
+	// (WaitHelp returns, loop exits). Every unpinned fork reads all P
+	// flags (Pool.HasIdle), so the flag has a cache line to itself, apart
+	// from rng and Steals, which the worker writes on every look.
+	_    [64]byte
+	idle atomic.Bool
+	_    [60]byte
 }
+
+// Idle reports whether the worker is on its idle ladder.
+func (w *Worker) Idle() bool { return w.idle.Load() }
 
 // Pool runs a fixed set of workers.
 type Pool struct {
@@ -145,6 +157,19 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
+// HasIdle reports whether any worker is on its idle ladder, that is,
+// whether a frame published now has a thief waiting for it. It reads the
+// workers' own flags; a pool-wide count would be a shared write on every
+// worker's way onto and off the ladder.
+func (p *Pool) HasIdle() bool {
+	for _, w := range p.workers {
+		if w.Idle() {
+			return true
+		}
+	}
+	return false
+}
+
 // TotalSteals sums the workers' steal counters.
 func (p *Pool) TotalSteals() int64 {
 	var n int64
@@ -159,12 +184,13 @@ func (w *Worker) loop() {
 	for !w.pool.closed.Load() {
 		w.pool.callSafePoint(w)
 		if f := w.findWork(); f != nil {
-			idle = idleLadder{}
+			idle.reset(w)
 			f.runOn(w)
 			continue
 		}
 		idle.wait(w)
 	}
+	idle.reset(w)
 }
 
 // SafePoint invokes the pool's safe-point hook on this worker, if one is
@@ -186,12 +212,13 @@ func (w *Worker) WaitHelp(fr *Frame) {
 	for !fr.Done() {
 		w.pool.callSafePoint(w)
 		if f := w.findWork(); f != nil {
-			idle = idleLadder{}
+			idle.reset(w)
 			f.runOn(w)
 			continue
 		}
 		idle.wait(w)
 	}
+	idle.reset(w)
 }
 
 // findWork looks for a frame: the shared inbox first, then steal attempts
@@ -250,6 +277,14 @@ func (w *Worker) nextRand() uint64 {
 // 0.72 ms over 24 runs) while workers polled through join waits on two
 // vCPUs; at 50 µs net-small's median with the cheaper AllocIn kv body stays
 // within 6 % of what it was before.
+//
+// A worker on any rung, WaitHelp's included, is idle (Worker.Idle) until it
+// finds a frame or leaves the ladder. That flag is what an unpinned
+// session's fork asks about (Pool.HasIdle): with no worker on the ladder,
+// nobody would steal the right arm before its owner pops it back, so the
+// fork runs both arms inline and pays for no heap level, frame or
+// promotion. A worker deep in its sleeps still counts; a frame published
+// for it waits at most longSleep.
 const (
 	pollWindow  = 50 * time.Microsecond
 	shortSleeps = 32
@@ -264,9 +299,11 @@ const (
 )
 
 // idleLadder is a worker's position on the ladder; the zero value is the
-// top, which is where finding a frame puts it back.
+// top, which is where finding a frame puts it back. Stepping onto the
+// ladder sets the worker's idle flag and reset clears it, so the flag is
+// written twice per idle spell, not once per look.
 type idleLadder struct {
-	since  time.Time // first look that found nothing
+	since  time.Time // first look that found nothing; zero off the ladder
 	sleeps int
 }
 
@@ -274,6 +311,7 @@ func (l *idleLadder) wait(w *Worker) {
 	if l.sleeps == 0 {
 		if l.since.IsZero() {
 			l.since = time.Now()
+			w.idle.Store(true)
 		}
 		if time.Since(l.since) < pollWindow {
 			runtime.Gosched()
@@ -289,4 +327,13 @@ func (l *idleLadder) wait(w *Worker) {
 		w.Chunks.Flush() // cold: return cached chunks to the shared pool
 	}
 	time.Sleep(longSleep)
+}
+
+// reset takes the worker off the ladder, when it found a frame or stops
+// looking for one, and clears its idle flag.
+func (l *idleLadder) reset(w *Worker) {
+	if !l.since.IsZero() {
+		*l = idleLadder{}
+		w.idle.Store(false)
+	}
 }

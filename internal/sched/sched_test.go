@@ -269,3 +269,59 @@ func TestIdleLadderPollsForAWindowThenSleeps(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleFlags checks the signal an unpinned fork reads: a fresh pool
+// reaches all idle; while P frames block, no worker is idle; and a worker
+// waiting in WaitHelp on a frame nobody can run is idle, with its flag
+// cleared once WaitHelp returns.
+func TestIdleFlags(t *testing.T) {
+	const procs = 2
+	p := NewPool(procs)
+	defer p.Close()
+	awaitAllIdle := func() {
+		for _, w := range p.Workers() {
+			for !w.Idle() {
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+	}
+	awaitAllIdle()
+	if !p.HasIdle() {
+		t.Fatal("HasIdle false with every worker idle")
+	}
+
+	release := make(chan struct{})
+	var started sync.WaitGroup
+	started.Add(procs)
+	for i := 0; i < procs; i++ {
+		p.Submit(NewFrame(func(*Worker) {
+			started.Done()
+			<-release
+		}))
+	}
+	started.Wait()
+	if p.HasIdle() {
+		t.Error("HasIdle true while every worker runs a blocked frame")
+	}
+	close(release)
+	awaitAllIdle()
+
+	// stuck is never published, so no worker can run it: the waiter stays
+	// on WaitHelp's ladder until the test marks it done.
+	stuck := NewFrame(func(*Worker) {})
+	waiter := make(chan *Worker)
+	idleAfter := make(chan bool)
+	p.Submit(NewFrame(func(w *Worker) {
+		waiter <- w
+		w.WaitHelp(stuck)
+		idleAfter <- w.Idle()
+	}))
+	w := <-waiter
+	for !w.Idle() { // only WaitHelp's ladder can set it while w runs a frame
+		time.Sleep(10 * time.Microsecond)
+	}
+	stuck.done.Store(true)
+	if <-idleAfter {
+		t.Error("idle flag still set after WaitHelp returned")
+	}
+}

@@ -120,7 +120,7 @@ curl -sf "http://$MADDR/metrics" >"$work/metrics.txt"
 for m in hh_requests_total hh_sheds_total hh_chunks_in_use hh_latency_seconds \
          hh_latency_seconds_sum hh_latency_seconds_count \
          hh_latency_breakdown_seconds_total hh_ptr_writes_total \
-         hh_zone_overlap_seconds_total hh_chunk_acquires_total; do
+         hh_forks_total hh_zone_overlap_seconds_total hh_chunk_acquires_total; do
   grep -q "$m" "$work/metrics.txt" || { echo "FAIL: $m missing from /metrics" >&2; exit 1; }
 done
 health=$(curl -s -o /dev/null -w '%{http_code}' "http://$MADDR/healthz")
