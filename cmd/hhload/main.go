@@ -191,7 +191,7 @@ func driveMode(mode hh.Mode, procs, sessions, requests, size int, mix load.Mix,
 		st.LatencyMax.Round(time.Microsecond), st.PeakInFlight)
 	fmt.Printf("    sessions: peak %d live, %d KiB reclaimed wholesale, %d KiB merged; %d steals, %d promotions\n",
 		rt.Sessions.PeakLive, rt.Sessions.WholesaleBytes>>10, rt.Sessions.MergedBytes>>10,
-		rt.Steals, rt.Ops.Promotions)
+		rt.Steals, rt.Ops.WritePtrProm)
 	fmt.Printf("    zones: %d total (%d session-tagged), peak %d concurrent, peak %d sessions collecting, %s overlap\n",
 		rt.Zones.Zones, rt.Zones.SessionZones, rt.Zones.MaxConcurrent,
 		rt.Zones.MaxConcurrentSessions, time.Duration(rt.Zones.OverlapNanos).Round(time.Microsecond))
@@ -212,7 +212,7 @@ func driveMode(mode hh.Mode, procs, sessions, requests, size int, mix load.Mix,
 			100*float64(ops.WritePtrAncestor)/float64(pw),
 			100*float64(ops.WritePtrNonProm)/float64(pw),
 			100*float64(ops.WritePtrProm)/float64(pw),
-			ops.PromotedBytes()>>10, ops.PromoteClimbs, ops.MeanClimbDepth())
+			ops.PromotedBytes()>>10, ops.WritePtrProm, ops.MeanClimbDepth())
 	}
 	if res.Commits+res.Aborts > 0 {
 		rollbackPerTxn := int64(0)

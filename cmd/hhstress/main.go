@@ -113,7 +113,7 @@ func main() {
 			peakZones = st.Zones.MaxConcurrent
 		}
 		fmt.Printf("round %2d ok: %6d promotions, %4d collections (%d leaf + %d join zones, max %d concurrent, %s overlap), %3d steals, %5d master retries\n",
-			round, st.Ops.Promotions, st.GC.Collections,
+			round, st.Ops.WritePtrProm, st.GC.Collections,
 			st.Zones.LeafZones, st.Zones.JoinZones, st.Zones.MaxConcurrent,
 			time.Duration(st.Zones.OverlapNanos).Round(time.Microsecond),
 			st.Steals, st.Ops.FindMasterRetries)

@@ -60,7 +60,7 @@ func main() {
 	fmt.Printf("binned %d values into %d bins on %d workers (%v, all counted: %v)\n",
 		*n, *bins, r.Procs(), r.Mode(), allCounted)
 	fmt.Printf("  distant CAS operations: %d, promotions: %d\n",
-		st.Ops.CASFast+st.Ops.CASSlow, st.Ops.Promotions)
+		st.Ops.CASFast+st.Ops.CASSlow, st.Ops.WritePtrProm)
 	fmt.Printf("  representative operation: %s\n", st.Ops.Representative())
 	if !allCounted {
 		os.Exit(1)

@@ -79,7 +79,7 @@ func main() {
 		*size, r.Procs(), r.Mode(), sorted)
 	fmt.Printf("  allocations: %d objects (%d KiB)\n", st.Ops.Allocs, st.Ops.AllocWords*8/1024)
 	fmt.Printf("  steals: %d, promotions: %d (pure fork-join data flow promotes nothing)\n",
-		st.Steals, st.Ops.Promotions)
+		st.Steals, st.Ops.WritePtrProm)
 	fmt.Printf("  collections: %d, copied %d KiB, GC time %.2fms\n",
 		st.GC.Collections, st.GC.WordsCopied*8/1024, float64(st.GCNanos)/1e6)
 	if !sorted {

@@ -101,7 +101,7 @@ func main() {
 		*n, r.Procs(), r.Mode(), ok)
 	fmt.Printf("  eliminations (mutable pointer writes): %d\n", elims)
 	fmt.Printf("  fast-path (local) share: %d, promotions: %d\n",
-		st.Ops.WritePtrFast, st.Ops.Promotions)
+		st.Ops.WritePtrFast, st.Ops.WritePtrProm)
 	fmt.Printf("  representative operation: %s\n", st.Ops.Representative())
 	if !ok {
 		os.Exit(1)

@@ -102,7 +102,7 @@ func (f *Frontend) WriteMetrics(buf *bytes.Buffer) {
 		st.WholesaleBytes)
 	fmt.Fprintf(buf, "# TYPE hh_merged_bytes_total counter\nhh_merged_bytes_total %d\n", st.MergedBytes)
 	fmt.Fprintf(buf, "# TYPE hh_chunks_in_use gauge\nhh_chunks_in_use %d\n", hh.ChunksInUse())
-	fmt.Fprintf(buf, "# TYPE hh_promotions_total counter\nhh_promotions_total %d\n", rt.Ops.Promotions)
+	fmt.Fprintf(buf, "# TYPE hh_promotions_total counter\nhh_promotions_total %d\n", rt.Ops.WritePtrProm)
 	fmt.Fprintf(buf, "# TYPE hh_promoted_bytes_total counter\nhh_promoted_bytes_total %d\n",
 		rt.Ops.PromotedBytes())
 	fmt.Fprintf(buf, "# TYPE hh_zone_collections_total counter\nhh_zone_collections_total %d\n",

@@ -22,18 +22,12 @@ import (
 // [Server] in package hh/serve layers admission control, backpressure, and
 // latency accounting over Submit for closed-loop serving.
 
-// SessionOpts configures one submitted session.
-type SessionOpts struct {
-	// Pin preserves the session's object graph past completion by merging
-	// the subtree into the super-root; pointer results then stay valid
-	// until the runtime closes. Unpinned sessions are reclaimed wholesale.
-	Pin bool
-
-	// BudgetWords caps the total words the session may allocate
-	// (0 = unlimited). A session that exceeds it aborts with
-	// ErrBudgetExceeded and is reclaimed wholesale.
-	BudgetWords int64
-}
+// SessionOpts configures one submitted session: Pin preserves its object
+// graph past completion by merging the subtree into the super-root (pointer
+// results then stay valid until the runtime closes), and BudgetWords caps
+// the words it may allocate (0 = unlimited; a session past it aborts with
+// ErrBudgetExceeded and is reclaimed wholesale).
+type SessionOpts = rts.SessionOpts
 
 // ErrBudgetExceeded aborts a session that allocated past its BudgetWords.
 var ErrBudgetExceeded = rts.ErrBudgetExceeded
@@ -50,11 +44,11 @@ type PanicError = rts.PanicError
 // crashes.
 type AbortError = rts.AbortError
 
-// Session is a handle to one in-flight (or completed) unit of work.
-type Session struct {
-	r     *Runtime
-	inner *rts.Session
-}
+// Session is a handle to one in-flight (or completed) unit of work. Wait
+// blocks for its result; GCNanos and BarrierNanos attribute its tasks' time
+// to collections and promotion climbs, and WholesaleBytes and MergedBytes
+// report what its completion released or kept.
+type Session = rts.Session
 
 // Submit starts fn as a new root-level session and returns immediately;
 // Wait blocks for the result. Sessions run concurrently with each other:
@@ -63,38 +57,7 @@ type Session struct {
 // allocates everything it touches, or receives data through pinned
 // super-root objects).
 func (r *Runtime) Submit(opts SessionOpts, fn func(t *Task) uint64) *Session {
-	inner := r.rt.Submit(rts.SessionOpts{Pin: opts.Pin, BudgetWords: opts.BudgetWords},
-		func(it *rts.Task) uint64 {
-			return fn(&Task{r: r, inner: it})
-		})
-	return &Session{r: r, inner: inner}
+	return r.rt.Submit(opts, func(it *rts.Task) uint64 {
+		return fn(&Task{r: r, inner: it})
+	})
 }
-
-// Wait blocks until the session completes. It returns the session's
-// result, or the error that aborted it: ErrBudgetExceeded, or a
-// *PanicError wrapping the session's own panic value.
-func (s *Session) Wait() (uint64, error) { return s.inner.Wait() }
-
-// ID returns the session's runtime-unique identifier.
-func (s *Session) ID() uint64 { return s.inner.ID() }
-
-// WholesaleBytes reports the chunk bytes released in bulk when the
-// session completed (0 while in flight, for pinned sessions, and in the
-// flat STW/Manticore modes, whose sessions allocate into shared heaps).
-func (s *Session) WholesaleBytes() int64 { return s.inner.WholesaleBytes() }
-
-// MergedBytes reports the chunk bytes a pinned session merged into the
-// super-root on completion.
-func (s *Session) MergedBytes() int64 { return s.inner.MergedBytes() }
-
-// GCNanos reports the time the session's tasks spent inside collections
-// (zone or stop-the-world), summed across all of its tasks. Valid after
-// Wait returns; 0 while the session is in flight. Together with
-// BarrierNanos this is the per-request latency attribution the serving
-// layer surfaces in serve.ServeStats.
-func (s *Session) GCNanos() int64 { return s.inner.GCNanos() }
-
-// BarrierNanos reports the time the session's tasks spent inside promotion
-// lock climbs (lock acquisition + transitive copy + store). Valid after
-// Wait returns.
-func (s *Session) BarrierNanos() int64 { return s.inner.BarrierNanos() }

@@ -239,8 +239,8 @@ func TestParMemBenchmarkPromotionProfile(t *testing.T) {
 	// The paper's Figure 9 shape: pure benchmarks promote nothing under
 	// hierarchical heaps; usp-tree promotes on (almost) every visit.
 	pure := Run(Map(), rts.DefaultConfig(rts.ParMem, 2), tinyScale("map"))
-	if pure.Totals.Ops.Promotions != 0 {
-		t.Fatalf("map promoted %d times under parmem", pure.Totals.Ops.Promotions)
+	if pure.Totals.Ops.WritePtrProm != 0 {
+		t.Fatalf("map promoted %d times under parmem", pure.Totals.Ops.WritePtrProm)
 	}
 	tree := Run(USPTree(), rts.DefaultConfig(rts.ParMem, 2), tinyScale("usp-tree"))
 	if tree.Totals.Ops.WritePtrProm == 0 {

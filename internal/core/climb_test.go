@@ -130,10 +130,10 @@ func TestAllocInToStaleMaster(t *testing.T) {
 	if heap.Of(val) != child {
 		t.Fatalf("AllocIn allocated in %v, want the heap the walk found", heap.Of(val))
 	}
-	before := ops.Promotions
+	before := ops.WritePtrProm
 	WritePtr(nil, grand, nil, &ops, anchor, 0, val)
-	if ops.Promotions != before+1 {
-		t.Fatalf("publishing into the promoted anchor made %d promotions, want 1", ops.Promotions-before)
+	if ops.WritePtrProm != before+1 {
+		t.Fatalf("publishing into the promoted anchor made %d promotions, want 1", ops.WritePtrProm-before)
 	}
 	master := chaseFwd(anchor)
 	got := mem.LoadPtrFieldAtomic(master, 0)
@@ -200,65 +200,80 @@ func TestRacingPromotionOfAllocInAnchor(t *testing.T) {
 }
 
 // climbs performs n identical promoting writes — a fresh one-word object
-// from the bottom of path into a cell at its top — through one PromoteBuf,
-// and returns the counters.
-func climbs(path []*heap.Heap, n int) Counters {
+// from the bottom of path into a cell at its top — and returns the
+// counters. The writes share one PromoteBuf, or with perClimb each gets a
+// new one, as n tasks that climb once each would.
+func climbs(path []*heap.Heap, n int, perClimb bool) Counters {
 	var ops Counters
-	var buf PromoteBuf
+	buf := new(PromoteBuf)
 	top, leaf := path[0], path[len(path)-1]
 	cell := Alloc(nil, top, &ops, 1, 0, mem.TagRef)
 	for i := 0; i < n; i++ {
+		if perClimb {
+			buf = new(PromoteBuf)
+		}
 		fresh := Alloc(nil, leaf, &ops, 0, 1, mem.TagRef)
-		WritePtr(nil, leaf, &buf, &ops, cell, 0, fresh)
+		WritePtr(nil, leaf, buf, &ops, cell, 0, fresh)
 	}
 	return ops
 }
 
 // TestSampledPromoteNanos holds the untraced estimate of climb time (one
 // climb in climbSample timed, charged climbSample times) against the exact
-// figure the traced path keeps. The two are separate runs of the same
-// climbs, so load from other processes can stretch either one; the bound
-// applies to the median ratio over several pairs, run in alternating order.
+// figure the traced path keeps, for one buffer making many climbs and for
+// many fresh buffers making one climb each (short tasks: each buffer's first
+// window must be drawn from its own seed, or none of them is timed). The two
+// figures are separate runs of the same climbs, so load from other processes
+// can stretch either one; the bound applies to the median ratio over
+// several pairs, run in alternating order.
 func TestSampledPromoteNanos(t *testing.T) {
-	const pairs, n = 9, 5000
-	run := func(traced bool) Counters {
-		path := chain(4)
-		defer freeAll(path...)
-		if traced {
-			if !trace.Start(1, 1<<10) {
-				t.Fatal("recorder already running")
+	const pairs = 9
+	for _, tc := range []struct {
+		name     string
+		n        int
+		perClimb bool
+	}{{"one-buffer", 5000, false}, {"fresh-buffers", 1024, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(traced bool) Counters {
+				path := chain(4)
+				defer freeAll(path...)
+				if traced {
+					if !trace.Start(1, 1<<10) {
+						t.Fatal("recorder already running")
+					}
+					defer trace.Stop()
+				}
+				return climbs(path, tc.n, tc.perClimb)
 			}
-			defer trace.Stop()
-		}
-		return climbs(path, n)
-	}
-	run(false) // warm the chunk pool so neither measured run pays for it
-	ratios := make([]float64, pairs)
-	for i := range ratios {
-		var sampled, exact Counters
-		if i%2 == 0 {
-			sampled, exact = run(false), run(true)
-		} else {
-			exact, sampled = run(true), run(false)
-		}
-		if sampled.PromoteClimbs != n || exact.PromoteClimbs != n {
-			t.Fatalf("climbs: sampled %d, exact %d, want %d", sampled.PromoteClimbs, exact.PromoteClimbs, n)
-		}
-		ratios[i] = float64(sampled.PromoteNanos) / float64(exact.PromoteNanos)
-	}
-	sort.Float64s(ratios)
-	ratio := ratios[pairs/2]
-	t.Logf("sampled/exact PromoteNanos over %d climbs, %d pairs: median %.2f, range %.2f-%.2f",
-		n, pairs, ratio, ratios[0], ratios[pairs-1])
-	if ratio < 0.5 || ratio > 2 {
-		t.Fatalf("median sampled/exact ratio %.2f is not within 2x", ratio)
+			run(false) // warm the chunk pool so neither measured run pays for it
+			ratios := make([]float64, pairs)
+			for i := range ratios {
+				var sampled, exact Counters
+				if i%2 == 0 {
+					sampled, exact = run(false), run(true)
+				} else {
+					exact, sampled = run(true), run(false)
+				}
+				if n := int64(tc.n); sampled.WritePtrProm != n || exact.WritePtrProm != n {
+					t.Fatalf("climbs: sampled %d, exact %d, want %d", sampled.WritePtrProm, exact.WritePtrProm, n)
+				}
+				ratios[i] = float64(sampled.PromoteNanos) / float64(exact.PromoteNanos)
+			}
+			sort.Float64s(ratios)
+			ratio := ratios[pairs/2]
+			t.Logf("sampled/exact PromoteNanos over %d climbs, %d pairs: median %.2f, range %.2f-%.2f",
+				tc.n, pairs, ratio, ratios[0], ratios[pairs-1])
+			if ratio < 0.5 || ratio > 2 {
+				t.Fatalf("median sampled/exact ratio %.2f is not within 2x", ratio)
+			}
+		})
 	}
 
 	// One full window is enough for a non-zero estimate; serve's latency
 	// attribution relies on it for short requests.
 	path := chain(1)
 	defer freeAll(path...)
-	if ops := climbs(path, climbSample); ops.PromoteNanos <= 0 {
+	if ops := climbs(path, climbSample, false); ops.PromoteNanos <= 0 {
 		t.Fatalf("PromoteNanos = %d after %d climbs", ops.PromoteNanos, climbSample)
 	}
 }
@@ -278,7 +293,7 @@ func BenchmarkClimb(b *testing.B) {
 					n = batch
 				}
 				b.StartTimer()
-				climbs(path, n)
+				climbs(path, n, false)
 				b.StopTimer()
 				freeAll(path...)
 				b.StartTimer()

@@ -21,15 +21,13 @@ type Counters struct {
 	WritePtrFast     int64 // pointer writes to local, unforwarded objects
 	WritePtrAncestor int64 // optimistic ancestor-pointee writes (no FindMaster lock)
 	WritePtrNonProm  int64 // non-promoting writes that went through FindMaster
-	WritePtrProm     int64 // pointer writes that triggered promotion
+	WritePtrProm     int64 // promoting pointer writes: one lock climb each
 
-	CASFast int64 // compare-and-swap on unforwarded objects
-	CASSlow int64 // compare-and-swap redirected to a master copy
+	CASFast int64 // direct compare-and-swap: depth-0 objects, or a mode that never promotes
+	CASSlow int64 // compare-and-swap on the master copy under its heap's read lock
 
-	Promotions        int64 // promoting pointer writes committed
 	PromotedObjects   int64 // objects copied upward
 	PromotedWords     int64 // words copied upward
-	PromoteClimbs     int64 // promotion lock climbs
 	ClimbLockedHeaps  int64 // heaps write-locked across all climbs
 	PromoteNanos      int64 // wall time inside promotion climbs (lock + copy + store); a 1-in-climbSample estimate unless tracing
 	FindMasterRetries int64 // double-checked locking retries
@@ -52,10 +50,8 @@ func (c *Counters) Add(o *Counters) {
 	c.WritePtrProm += o.WritePtrProm
 	c.CASFast += o.CASFast
 	c.CASSlow += o.CASSlow
-	c.Promotions += o.Promotions
 	c.PromotedObjects += o.PromotedObjects
 	c.PromotedWords += o.PromotedWords
-	c.PromoteClimbs += o.PromoteClimbs
 	c.ClimbLockedHeaps += o.ClimbLockedHeaps
 	c.PromoteNanos += o.PromoteNanos
 	c.FindMasterRetries += o.FindMasterRetries
@@ -85,10 +81,10 @@ func (c *Counters) BarrierFastRate() float64 {
 // promotion lock climb — the paper's lock-path length. Zero when nothing
 // promoted.
 func (c *Counters) MeanClimbDepth() float64 {
-	if c.PromoteClimbs == 0 {
+	if c.WritePtrProm == 0 {
 		return 0
 	}
-	return float64(c.ClimbLockedHeaps) / float64(c.PromoteClimbs)
+	return float64(c.ClimbLockedHeaps) / float64(c.WritePtrProm)
 }
 
 // Representative returns the name of the dominant mutable-operation class,

@@ -122,9 +122,9 @@ func TestConcurrentPromotionsIntoDisjointSlots(t *testing.T) {
 		total.Add(&opsPer[i])
 	}
 	want := int64(siblings * perSibling * rounds)
-	if total.Promotions != want || total.PromoteClimbs != want || total.PromotedObjects != want {
-		t.Fatalf("promotions %d, climbs %d, objects copied %d; want %d each",
-			total.Promotions, total.PromoteClimbs, total.PromotedObjects, want)
+	if total.WritePtrProm != want || total.PromotedObjects != want {
+		t.Fatalf("promotions %d, objects copied %d; want %d each",
+			total.WritePtrProm, total.PromotedObjects, want)
 	}
 	var ops Counters
 	for s := 0; s < siblings; s++ {

@@ -156,12 +156,13 @@ func WriteNonptr(cur *heap.Heap, ops *Counters, p mem.ObjPtr, i int, v uint64) {
 // failure would double-apply. Two linearizable paths remain:
 //
 //   - objects in the hierarchy root (depth 0) can never be promoted —
-//     nothing is shallower — so a direct CAS is safe. This covers the
-//     benchmarks' usage (visited arrays and counters allocated at the
-//     root before the parallel phase), and DLG-style runtimes where all
-//     mutable objects live in the global heap.
+//     nothing is shallower — so a direct CAS is safe. Only Manticore's
+//     global heap sits at depth 0 and holds mutable data; every ParMem
+//     session, Runtime.Run included, allocates at depth 1 or deeper.
 //   - otherwise the CAS executes on the master copy under its heap's read
-//     lock, which excludes in-flight promotions of the master.
+//     lock, which excludes in-flight promotions of the master. Every ParMem
+//     CAS takes this path, even on objects the session allocated before
+//     it forked (visited arrays, counters).
 func CASWord(ops *Counters, p mem.ObjPtr, i int, old, new uint64) bool {
 	if heap.Of(p).Depth() == 0 {
 		ops.CASFast++
@@ -262,6 +263,5 @@ func WritePtrSlow(cc *mem.ChunkCache, buf *PromoteBuf, ops *Counters, obj mem.Ob
 		h.Unlock()
 	}
 	ops.WritePtrProm++
-	ops.Promotions++
 	writePromote(cc, buf, ops, m, field, ptr)
 }

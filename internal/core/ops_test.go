@@ -158,7 +158,7 @@ func TestWritePtrFastPathLocal(t *testing.T) {
 	if mem.LoadPtrFieldAtomic(obj, 0) != val {
 		t.Fatal("local pointer write failed")
 	}
-	if ops.WritePtrFast != 1 || ops.Promotions != 0 {
+	if ops.WritePtrFast != 1 || ops.WritePtrProm != 0 {
 		t.Fatalf("fast path not taken: %+v", ops)
 	}
 }
@@ -192,7 +192,7 @@ func TestWritePtrAncestorPointeeFastPath(t *testing.T) {
 	if mem.LoadPtrFieldAtomic(obj, 0) != val {
 		t.Fatal("distant pointer write failed")
 	}
-	if ops.WritePtrAncestor != 1 || ops.WritePtrNonProm != 0 || ops.Promotions != 0 {
+	if ops.WritePtrAncestor != 1 || ops.WritePtrNonProm != 0 || ops.WritePtrProm != 0 {
 		t.Fatalf("want ancestor fast path: %+v", ops)
 	}
 }
@@ -203,7 +203,7 @@ func TestWritePtrNilNeverPromotes(t *testing.T) {
 	var ops Counters
 	obj := Alloc(nil, root, &ops, 1, 0, mem.TagRef)
 	WritePtr(nil, child, nil, &ops, obj, 0, mem.NilPtr)
-	if ops.Promotions != 0 || ops.WritePtrAncestor != 1 {
+	if ops.WritePtrProm != 0 || ops.WritePtrAncestor != 1 {
 		t.Fatalf("nil write must not promote: %+v", ops)
 	}
 }
@@ -250,7 +250,7 @@ func TestWritePtrPromotes(t *testing.T) {
 	if mem.LoadFwd(local) != got {
 		t.Fatal("original must forward to the promoted copy")
 	}
-	if ops.WritePtrProm != 1 || ops.Promotions != 1 || ops.PromotedObjects != 1 {
+	if ops.WritePtrProm != 1 || ops.PromotedObjects != 1 {
 		t.Fatalf("counters: %+v", ops)
 	}
 	if err := CheckSubtree(root, child); err != nil {
@@ -391,7 +391,7 @@ func TestRepeatedPromotionBuildsChain(t *testing.T) {
 	WritePtr(nil, grand, nil, &ops, cellMid, 0, obj) // promote grand -> child
 	WritePtr(nil, grand, nil, &ops, cellTop, 0, obj) // promote child -> root
 
-	if ops.Promotions != 2 || ops.PromotedObjects != 2 {
+	if ops.WritePtrProm != 2 || ops.PromotedObjects != 2 {
 		t.Fatalf("counters: %+v", ops)
 	}
 	m, h := FindMaster(&ops, obj)

@@ -2,25 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/heap"
 	"repro/internal/mem"
 	"repro/internal/trace"
-)
-
-// climbSpanFloor separates climbs the flight recorder records as individual
-// spans from those it coalesces. A promoting climb is often ~100 ns — close
-// to the cost of one ring publish — so emitting every climb can tax the
-// barrier by double-digit percentages on promotion-heavy mixes. Climbs at or
-// above the floor get their own EvClimb complete span (these are the stalls
-// worth seeing on a timeline); shorter ones accumulate in the task's
-// PromoteBuf and go out as one EvClimb instant per climbCoalesce climbs,
-// carrying their count, total time and max lock depth — the trace
-// keeps full climb accounting at ~1/64 the publish rate.
-const (
-	climbSpanFloor = time.Microsecond
-	climbCoalesce  = 64
 )
 
 // climbSample is how many climbs share one timed climb when the flight
@@ -31,10 +18,16 @@ const (
 // cheap and dear climbs), and charged climbSample times over.
 const climbSample = 16
 
+// climbSeeds hands each PromoteBuf its own generator seed on its first
+// climb. Were every buffer to start from one state, every buffer would time
+// the same position of its first window, and a task that climbs fewer times
+// than that position would add nothing to PromoteNanos.
+var climbSeeds atomic.Uint32
+
 // PromoteBuf is a task-private promotion scratch buffer: it owns the
 // reusable climb and copy worklists (the locked-heap path and the promotion
 // scan stack), so steady-state promotions allocate nothing in Go, and the
-// climb's timing and trace-coalescing state.
+// climb-time sampler's state.
 //
 // A PromoteBuf is single-goroutine (each rts.Task embeds one); the zero
 // value is ready to use.
@@ -45,15 +38,10 @@ type PromoteBuf struct {
 	scan   []mem.ObjPtr // promotion worklist: fresh copies to field-fix
 
 	// Climb-time sampling (see climbSample): position in the current window,
-	// the position timed in it, and the generator that draws the next one.
+	// the position timed in it, and the generator that draws the next one
+	// (zero until the first climb seeds it from climbSeeds).
 	climbPos, climbPick uint8
 	climbRand           uint32
-
-	// Sub-floor climb coalescing state (see climbSpanFloor / emitClimb).
-	// Task-private like the rest of the buffer, so no atomics.
-	shortClimbs uint32
-	shortDepth  uint32
-	shortNanos  int64
 }
 
 // SetTrack records the worker ID whose timeline trace climb spans from this
@@ -103,46 +91,8 @@ func (b *PromoteBuf) lockPath(ops *Counters, src *heap.Heap, obj mem.ObjPtr) (me
 		obj = mem.LoadFwd(obj)
 		target = heap.Of(obj)
 	}
-	ops.PromoteClimbs++
 	ops.ClimbLockedHeaps += int64(len(b.locked))
 	return obj, target
-}
-
-// emitClimb records one finished climb with the flight recorder. Climbs are
-// the hottest emit site, so two costs are shaved: the timing reuses the
-// start/elapsed endClimb already measured for PromoteNanos (no extra clock
-// reads), and climbs shorter than climbSpanFloor are coalesced into one
-// summary instant per climbCoalesce climbs instead of publishing each.
-func (b *PromoteBuf) emitClimb(start time.Time, elapsed time.Duration, depth int) {
-	if elapsed >= climbSpanFloor {
-		trace.Complete(b.track(), trace.EvClimb, start, elapsed, 0, uint64(depth))
-		return
-	}
-	b.shortClimbs++
-	if uint32(depth) > b.shortDepth {
-		b.shortDepth = uint32(depth)
-	}
-	b.shortNanos += elapsed.Nanoseconds()
-	if b.shortClimbs >= climbCoalesce {
-		b.FlushClimbTrace()
-	}
-}
-
-// FlushClimbTrace publishes any coalesced sub-floor climbs as one EvClimb
-// instant (aux = count<<8 | max lock depth, arg = total nanos)
-// and clears the accumulator. The runtime calls it when a task finishes so
-// a task's tail of short climbs is not lost; a transient buffer's tail is
-// dropped, which a flight recorder tolerates by design.
-func (b *PromoteBuf) FlushClimbTrace() {
-	if b.shortClimbs == 0 {
-		return
-	}
-	depth := b.shortDepth
-	if depth > 0xff {
-		depth = 0xff
-	}
-	trace.Emit(b.track(), trace.EvClimb, b.shortClimbs<<8|depth, uint64(b.shortNanos))
-	b.shortClimbs, b.shortDepth, b.shortNanos = 0, 0, 0
 }
 
 // unlockPath releases the climb's locks, shallowest first.
@@ -169,6 +119,9 @@ func (b *PromoteBuf) startClimb() climbClock {
 		return climbClock{start: time.Now(), weight: 1, traced: true}
 	}
 	if b.climbPos == 0 {
+		if b.climbRand == 0 {
+			b.climbRand = climbSeeds.Add(0x9e3779b9)
+		}
 		b.climbRand = b.climbRand*1664525 + 1013904223
 		b.climbPick = uint8((b.climbRand >> 24) % climbSample)
 	}
@@ -189,7 +142,7 @@ func (b *PromoteBuf) endClimb(ops *Counters, c climbClock, depth int) {
 	elapsed := time.Since(c.start)
 	ops.PromoteNanos += elapsed.Nanoseconds() * c.weight
 	if c.traced {
-		b.emitClimb(c.start, elapsed, depth)
+		trace.Complete(b.track(), trace.EvClimb, c.start, elapsed, 0, uint64(depth))
 	}
 }
 
@@ -206,7 +159,7 @@ func (b *PromoteBuf) endClimb(ops *Counters, c climbClock, depth int) {
 // its forwarding chain without a lock, and lockPath settles the master once
 // the path is held. buf supplies the reusable climb and worklist scratch
 // (nil for a transient buffer); the caller has already counted the write
-// in WritePtrProm/Promotions.
+// in WritePtrProm.
 func writePromote(cc *mem.ChunkCache, buf *PromoteBuf, ops *Counters, obj mem.ObjPtr, field int, ptr mem.ObjPtr) {
 	if buf == nil {
 		buf = &PromoteBuf{}

@@ -90,8 +90,8 @@ func runConcurrentPromotions(t *testing.T, writePtr func(cur *heap.Heap, ops *Co
 	for i := range opsPer {
 		total.Add(&opsPer[i])
 	}
-	if total.Promotions != siblings*writes {
-		t.Fatalf("promotions = %d, want %d", total.Promotions, siblings*writes)
+	if total.WritePtrProm != siblings*writes {
+		t.Fatalf("promotions = %d, want %d", total.WritePtrProm, siblings*writes)
 	}
 	if err := CheckSubtree(append([]*heap.Heap{root}, children...)...); err != nil {
 		t.Fatal(err)

@@ -103,7 +103,7 @@ func TestAllocInScenariosAgreeAcrossModes(t *testing.T) {
 					}
 				}
 			}
-			if p := r.Stats().Ops.Promotions; mode == hh.ParMem && p != 0 {
+			if p := r.Stats().Ops.WritePtrProm; mode == hh.ParMem && p != 0 {
 				t.Errorf("ParMem P=%d: %d promotions; want none", procs, p)
 			}
 			r.Close()

@@ -306,7 +306,7 @@ func Fig9(w io.Writer, o Options) error {
 		rows = append(rows, []string{
 			b.Name,
 			res.Totals.Ops.Representative(),
-			fmt.Sprintf("%d", res.Totals.Ops.Promotions),
+			fmt.Sprintf("%d", res.Totals.Ops.WritePtrProm),
 			fmt.Sprintf("%d", res.Totals.Ops.PromotedBytes()),
 		})
 	}

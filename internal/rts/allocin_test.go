@@ -33,9 +33,9 @@ func TestAllocInBornInAnchorMasterHeap(t *testing.T) {
 			}
 			before := tk.Ops
 			tk.WritePtr(arr, 0, cell)
-			if tk.Ops.WritePtrAncestor != before.WritePtrAncestor+1 || tk.Ops.Promotions != before.Promotions {
+			if tk.Ops.WritePtrAncestor != before.WritePtrAncestor+1 || tk.Ops.WritePtrProm != before.WritePtrProm {
 				t.Errorf("publish: %d ancestor writes, %d promotions; want 1 and 0",
-					tk.Ops.WritePtrAncestor-before.WritePtrAncestor, tk.Ops.Promotions-before.Promotions)
+					tk.Ops.WritePtrAncestor-before.WritePtrAncestor, tk.Ops.WritePtrProm-before.WritePtrProm)
 			}
 
 			// loc is born here and promoted by the write into arr: its raw
@@ -108,7 +108,7 @@ func TestAllocInAbortReturnsToBaseline(t *testing.T) {
 			if got := mem.ChunksInUse(); got != base {
 				t.Fatalf("chunks in use after aborts = %d, want baseline %d", got, base)
 			}
-			if p := r.Stats().Ops.Promotions; p == 0 {
+			if p := r.Stats().Ops.WritePtrProm; p == 0 {
 				t.Fatal("no promotions: the arm-local writes into born-in-place cells should promote")
 			}
 		})

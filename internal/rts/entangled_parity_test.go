@@ -87,7 +87,7 @@ func TestEntangledParityAllModes(t *testing.T) {
 					}
 				}
 				if mode == ParMem {
-					if p := r.Stats().Ops.Promotions; p == 0 {
+					if p := r.Stats().Ops.WritePtrProm; p == 0 {
 						t.Fatal("ParMem run recorded no promotions")
 					}
 				}

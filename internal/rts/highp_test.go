@@ -56,9 +56,9 @@ func TestZoneStressAcrossProcs(t *testing.T) {
 			if ok != 1 {
 				t.Fatalf("data corruption at P=%d", p)
 			}
-			if st.Zones.Zones == 0 || st.Ops.Promotions == 0 {
+			if st.Zones.Zones == 0 || st.Ops.WritePtrProm == 0 {
 				t.Fatalf("stress did not stress at P=%d: %+v / %d promotions",
-					p, st.Zones, st.Ops.Promotions)
+					p, st.Zones, st.Ops.WritePtrProm)
 			}
 		})
 	}

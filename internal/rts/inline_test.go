@@ -81,18 +81,18 @@ func TestSaturatedForkRunsInline(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := check(t, r, got)
-		if st.Ops.Promotions != 0 || st.Forks.Parallel != 0 {
+		if st.Ops.WritePtrProm != 0 || st.Forks.Parallel != 0 {
 			t.Errorf("%d promotions, %d parallel forks; want 0 and 0 with no idle worker",
-				st.Ops.Promotions, st.Forks.Parallel)
+				st.Ops.WritePtrProm, st.Forks.Parallel)
 		}
 	})
 	t.Run("pinned", func(t *testing.T) {
 		r := New(testConfig(ParMem, 1))
 		defer r.Close()
 		st := check(t, r, r.Run(publishArms))
-		if st.Ops.Promotions == 0 || st.Forks.Inline != 0 {
+		if st.Ops.WritePtrProm == 0 || st.Forks.Inline != 0 {
 			t.Errorf("%d promotions, %d inline forks; want > 0 and 0 in a pinned session",
-				st.Ops.Promotions, st.Forks.Inline)
+				st.Ops.WritePtrProm, st.Forks.Inline)
 		}
 	})
 	t.Run("idle", func(t *testing.T) {
@@ -103,9 +103,9 @@ func TestSaturatedForkRunsInline(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := check(t, r, got)
-		if st.Ops.Promotions == 0 || st.Forks.Parallel == 0 {
+		if st.Ops.WritePtrProm == 0 || st.Forks.Parallel == 0 {
 			t.Errorf("%d promotions, %d parallel forks; want > 0 with an idle worker",
-				st.Ops.Promotions, st.Forks.Parallel)
+				st.Ops.WritePtrProm, st.Forks.Parallel)
 		}
 	})
 }

@@ -314,7 +314,7 @@ func TestParMemNoPromotionOnPureCode(t *testing.T) {
 	})
 	st := r.Stats()
 	r.Close()
-	if st.Ops.PromotedWords != 0 || st.Ops.Promotions != 0 {
+	if st.Ops.PromotedWords != 0 || st.Ops.WritePtrProm != 0 {
 		t.Fatalf("pure code promoted %d words", st.Ops.PromotedWords)
 	}
 }

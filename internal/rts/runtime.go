@@ -32,14 +32,13 @@ type Runtime struct {
 	// whole-world rendezvous instead (gcdrive.go).
 	zones *gc.ZoneRecorder
 
-	// totals are the merged per-task counters, striped by worker so a task
-	// finishing on one worker never contends with a task finishing on
-	// another. Before striping every task completion — the hot path of a
-	// fine-grained fork tree — serialized on one runtime-wide mutex, and
-	// the same mutex guarded a global task registry whose only reader was
-	// the STW rendezvous (which now walks the per-worker task sets it
-	// already had).
-	totals [totalsShardCount]totalsShard
+	// totals are the merged per-task counters. A task finishes once per
+	// session and once per stolen frame — under a thousand times a second
+	// in the batch benchmarks even at P = 8 — so one mutex serves.
+	totalsMu sync.Mutex
+	ops      core.Counters
+	gcStats  gc.Stats
+	forks    ForkCounts
 
 	gcNanos       atomic.Int64
 	baselineBytes int64
@@ -60,26 +59,6 @@ type Runtime struct {
 	gcInProgress bool
 	gcStopped    int
 	stwLastLive  atomic.Int64
-}
-
-// totalsShardCount stripes the merged task counters; a power of two so the
-// worker-ID mask is cheap. Sixteen covers the worker counts the benchmarks
-// sweep; beyond that finishes just share stripes.
-const totalsShardCount = 16
-
-// totalsShard is one lock's worth of merged task counters, padded so
-// neighbouring shards' mutexes do not share a cache line.
-type totalsShard struct {
-	mu    sync.Mutex
-	ops   core.Counters
-	gc    gc.Stats
-	forks ForkCounts
-	_     [64]byte
-}
-
-// totalsShardFor picks the stripe tasks of worker w merge into.
-func (r *Runtime) totalsShardFor(w *sched.Worker) *totalsShard {
-	return &r.totals[w.ID&(totalsShardCount-1)]
 }
 
 // workerState is the per-worker runtime state used by the STW and
@@ -245,14 +224,9 @@ func (r *Runtime) Stats() Totals {
 		PeakMem: mem.HighWaterBytes() - r.baselineBytes,
 		Procs:   r.Procs(),
 	}
-	for i := range r.totals {
-		sh := &r.totals[i]
-		sh.mu.Lock()
-		t.Ops.Add(&sh.ops)
-		t.GC.Add(sh.gc)
-		t.Forks.add(sh.forks)
-		sh.mu.Unlock()
-	}
+	r.totalsMu.Lock()
+	t.Ops, t.GC, t.Forks = r.ops, r.gcStats, r.forks
+	r.totalsMu.Unlock()
 	t.Steals = r.pool.TotalSteals()
 	if r.zones != nil {
 		t.Zones = r.zones.Snapshot()

@@ -3,11 +3,11 @@ package rts
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/gc"
+	"repro/internal/heap"
 	"repro/internal/mem"
 )
 
@@ -257,45 +257,59 @@ func TestRunRepanicsSessionPanic(t *testing.T) {
 	r.Run(func(task *Task) uint64 { panic("through-run") })
 }
 
+// garbage returns a session body that allocates about the given number of
+// words, as 32-word objects, in the session's base heap.
+func garbage(words int64) func(*Task) uint64 {
+	return func(task *Task) uint64 {
+		for w := int64(0); w < words; w += 32 {
+			task.Alloc(0, 30, mem.TagTuple)
+		}
+		return 1
+	}
+}
+
+// TestConcurrentSessionZoneCollections: two sessions collect their disjoint
+// zones at the same time — the serving layer's cross-request GC concurrency.
+// The recorder counts a zone in flight before it takes the heap's write
+// lock, so holding session A's base heap write-locked parks A's collection
+// in flight while session B collects to completion.
 func TestConcurrentSessionZoneCollections(t *testing.T) {
-	// Two independent sessions with heavy allocation must be observed
-	// collecting their (disjoint) zones at the same time — the serving
-	// layer's cross-request GC concurrency. Timing-dependent, so retry.
-	if testing.Short() {
-		t.Skip("timing-dependent concurrency measurement")
-	}
-	const nSessions = 8
-	for attempt := 0; attempt < 5; attempt++ {
-		r := New(sessionConfig(ParMem, 4))
-		var wg sync.WaitGroup
-		sessions := make([]*Session, nSessions)
-		for i := range sessions {
-			sessions[i] = r.Submit(SessionOpts{}, func(task *Task) uint64 {
-				var sum uint64
-				for round := 0; round < 6; round++ {
-					sum += buildChurn(task, 6000)
-				}
-				return sum
-			})
+	words := gc.DefaultPolicy().MinWords * 5 / 4 // past the unpinned-session floor
+	r := New(sessionConfig(ParMem, 2))
+	defer r.Close()
+
+	heapA, goA := make(chan *heap.Heap), make(chan struct{})
+	a := r.Submit(SessionOpts{}, func(task *Task) uint64 {
+		heapA <- task.CurrentHeap()
+		<-goA
+		return garbage(words)(task)
+	})
+	h := <-heapA
+	h.Lock(heap.WRITE)
+	close(goA)
+	var st Totals
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if st = r.Stats(); st.Zones.MaxConcurrent == 1 && st.Zones.Zones == 0 {
+			break
 		}
-		wg.Wait()
-		for _, s := range sessions {
-			if _, err := s.Wait(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := r.Stats()
-		r.Close()
-		if st.Zones.SessionZones == 0 {
-			t.Fatal("no session-tagged zone collections recorded")
-		}
-		if st.Zones.MaxConcurrentSessions >= 2 {
-			t.Logf("attempt %d: %d session zones, %d distinct sessions collecting at peak",
-				attempt, st.Zones.SessionZones, st.Zones.MaxConcurrentSessions)
-			return
+		if time.Now().After(deadline) {
+			h.Unlock()
+			t.Fatalf("session A's collection never went in flight: %+v", st.Zones)
 		}
 	}
-	t.Fatal("no two sessions ever collected concurrently")
+	_, errB := r.Submit(SessionOpts{}, garbage(words)).Wait()
+	st = r.Stats()
+	h.Unlock()
+	if _, err := a.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if errB != nil {
+		t.Fatal(errB)
+	}
+	if st.Zones.MaxConcurrentSessions != 2 || st.Zones.SessionZones == 0 {
+		t.Fatalf("with A's collection in flight, B finished with %d session zones and %d sessions collecting at peak, want > 0 and 2",
+			st.Zones.SessionZones, st.Zones.MaxConcurrentSessions)
+	}
 }
 
 // TestUnpinnedSessionCollectionFloor: under an aggressive configured policy,
@@ -307,16 +321,6 @@ func TestConcurrentSessionZoneCollections(t *testing.T) {
 // Chunk occupancy returns to its baseline after every case.
 func TestUnpinnedSessionCollectionFloor(t *testing.T) {
 	floor := gc.DefaultPolicy().MinWords
-	// garbage returns a session body that allocates about the given number
-	// of words, as 32-word objects, in the session's base heap.
-	garbage := func(words int64) func(*Task) uint64 {
-		return func(task *Task) uint64 {
-			for w := int64(0); w < words; w += 32 {
-				task.Alloc(0, 30, mem.TagTuple)
-			}
-			return 1
-		}
-	}
 	cases := []struct {
 		name      string
 		opts      SessionOpts

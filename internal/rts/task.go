@@ -27,8 +27,8 @@ type Task struct {
 	gcNanos int64
 	forks   ForkCounts
 
-	// pbuf is the task's promote buffer: the staging area and reusable
-	// scratch for promotion lock climbs (core.PromoteBuf). Task-private, so
+	// pbuf is the task's promote buffer: the reusable scratch and clock
+	// sampler for promotion lock climbs (core.PromoteBuf). Task-private, so
 	// the write barrier's slow path allocates nothing in steady state.
 	pbuf core.PromoteBuf
 
@@ -79,17 +79,12 @@ func (t *Task) PopRoots(mark int) {
 }
 
 // finish merges the task's statistics into the runtime, hands its created
-// heaps to the session's reclamation registry, and deregisters it. The
-// counter merge goes to the runtime's totals stripe for this task's
-// worker, so completions on different workers never contend.
+// heaps to the session's reclamation registry, and deregisters it.
 func (t *Task) finish() {
 	r := t.rt
 	if t.ws != nil {
 		delete(t.ws.tasks, t)
 	}
-	// Publish the tail of coalesced sub-microsecond climbs (no-op when
-	// tracing is off or nothing accumulated).
-	t.pbuf.FlushClimbTrace()
 	t.ses.addHeaps(t.madeHeaps)
 	t.madeHeaps = nil
 	// Latency attribution: how much of this task's wall time went to
@@ -98,12 +93,11 @@ func (t *Task) finish() {
 	// barrier / mutator (serve.ServeStats).
 	t.ses.gcAttrNanos.Add(t.gcNanos)
 	t.ses.barrierAttrNanos.Add(t.Ops.PromoteNanos)
-	sh := r.totalsShardFor(t.w)
-	sh.mu.Lock()
-	sh.ops.Add(&t.Ops)
-	sh.gc.Add(t.gcStats)
-	sh.forks.add(t.forks)
-	sh.mu.Unlock()
+	r.totalsMu.Lock()
+	r.ops.Add(&t.Ops)
+	r.gcStats.Add(t.gcStats)
+	r.forks.add(t.forks)
+	r.totalsMu.Unlock()
 	r.gcNanos.Add(t.gcNanos)
 }
 

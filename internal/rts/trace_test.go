@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/gc"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -86,8 +87,6 @@ func TestTraceSnapshotDuringZoneCollections(t *testing.T) {
 		case e.Type == trace.EvZone && e.Phase == trace.PhaseBegin:
 			zones++
 		case e.Type == trace.EvClimb:
-			// Individual spans (>= 1us) or coalesced sub-us summaries — the
-			// emit point is wired either way.
 			climbs++
 		}
 	}
@@ -134,5 +133,48 @@ func TestTraceSnapshotDuringZoneCollections(t *testing.T) {
 	}
 	if !sawZone {
 		t.Fatal("export contains no zone-collect spans")
+	}
+}
+
+// TestTracedClimbSpans: with the flight recorder on, every promoting write
+// of a ParMem body is one EvClimb complete span, and the spans' durations
+// add up to the runtime's PromoteNanos exactly — the trace and the counter
+// take the same clock readings.
+func TestTracedClimbSpans(t *testing.T) {
+	const n = 200 // well inside one ring, so no span is overwritten
+	cfg := DefaultConfig(ParMem, 1)
+	cfg.TraceBufEvents = 1 << 12
+	r := New(cfg)
+	defer r.Close()
+	r.Run(func(task *Task) uint64 {
+		cell := task.AllocMut(1, 0, mem.TagRef)
+		mark := task.PushRoot(&cell)
+		defer task.PopRoots(mark)
+		task.ForkJoinScalar(cell, func(t *Task, cell mem.ObjPtr) uint64 {
+			for i := 0; i < n; i++ {
+				t.WritePtr(cell, 0, t.Alloc(0, 1, mem.TagRef)) // leaf into the session heap
+			}
+			return 0
+		}, func(*Task, mem.ObjPtr) uint64 { return 0 })
+		return 0
+	})
+	snap := trace.TakeSnapshot()
+	ops := r.Stats().Ops
+	spans, nanos := 0, int64(0)
+	for _, e := range snap.Events {
+		if e.Type != trace.EvClimb {
+			continue
+		}
+		if e.Phase != trace.PhaseComplete {
+			t.Fatalf("climb event %+v is not a complete span", e)
+		}
+		spans++
+		nanos += int64(e.Span)
+	}
+	if spans != n || ops.WritePtrProm != n {
+		t.Fatalf("%d climb spans for %d promoting writes, want %d each", spans, ops.WritePtrProm, n)
+	}
+	if nanos != ops.PromoteNanos {
+		t.Fatalf("climb spans sum to %d ns, PromoteNanos is %d", nanos, ops.PromoteNanos)
 	}
 }

@@ -112,8 +112,8 @@ func TestConcurrentZoneCollections(t *testing.T) {
 		if ok != 1 {
 			t.Fatal("data corruption under concurrent zone collection")
 		}
-		if st.Zones.Zones == 0 || st.Ops.Promotions == 0 {
-			t.Fatalf("stress did not stress: %+v / %d promotions", st.Zones, st.Ops.Promotions)
+		if st.Zones.Zones == 0 || st.Ops.WritePtrProm == 0 {
+			t.Fatalf("stress did not stress: %+v / %d promotions", st.Zones, st.Ops.WritePtrProm)
 		}
 		last = st
 		if st.Zones.MaxConcurrent > 1 {
@@ -122,7 +122,7 @@ func TestConcurrentZoneCollections(t *testing.T) {
 			}
 			t.Logf("attempt %d: %d zone collections, max %d concurrent, %v overlap, %d promotions",
 				attempt, st.Zones.Zones, st.Zones.MaxConcurrent,
-				time.Duration(st.Zones.OverlapNanos), st.Ops.Promotions)
+				time.Duration(st.Zones.OverlapNanos), st.Ops.WritePtrProm)
 			return
 		}
 	}

@@ -177,12 +177,6 @@ func instantArgs(e Event) map[string]any {
 	switch e.Type {
 	case EvPoolRefill:
 		return map[string]any{"class": e.Aux}
-	case EvClimb: // coalesced sub-microsecond climbs (core.PromoteBuf)
-		return map[string]any{
-			"climbs":    e.Aux >> 8,
-			"max_depth": e.Aux & 0xff,
-			"total_ns":  e.Arg,
-		}
 	case EvShed:
 		a := map[string]any{"queued": e.Arg}
 		if int(e.Aux) < len(shedReasonNames) {
