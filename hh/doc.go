@@ -115,7 +115,17 @@
 //   - A PINNED session (Run, or Pin true) merges its subtree into the
 //     process super-root at completion, so a Ptr result and everything
 //     reachable from it stay valid until Close. Pinned memory is never
-//     collected: pin results, not scratch space.
+//     collected: pin results, not scratch space. In STW and Manticore,
+//     where sessions allocate into worker heaps, Run instead copies a Ptr
+//     result's graph into the root heap; a Ptr nested inside a non-Ptr
+//     result (a struct or a slice of them) is kept only in ParMem and Seq.
+//   - A session of any kind may store pointers into a pinned object, and
+//     what they point to stays valid with it. ParMem and Manticore promote
+//     the stored graph into the root heap, STW's collector scans the root
+//     heap's pointer fields, and a Seq session that stores into an object
+//     outside its own heap is marked escaped: it is no longer collected,
+//     and its heap is merged into the super-root when it completes, failed
+//     or not.
 //
 // The engine layers under internal/ (mem, heap, core, gc, sched, rts,
 // seq, graph, bench, report) remain the reference implementation of the

@@ -41,6 +41,27 @@ func TestRunResultRoundTripping(t *testing.T) {
 	}
 }
 
+// churnSessions runs n unpinned sessions, one after another, that each
+// allocate about 160 KB of garbage: under aggressive settings enough for a
+// stop-the-world collection every other session in STW and for local
+// collections in Manticore.
+func churnSessions(t *testing.T, r *Runtime, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := r.Submit(SessionOpts{}, func(task *Task) uint64 {
+			for j := 0; j < 4000; j++ {
+				task.Alloc(0, 3, TagTuple)
+			}
+			return 0
+		}).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRunPtrResultAllModes checks Run's promise that a Ptr result stays
+// valid until Close, across later sessions that collect in every mode that
+// collects unpinned work (STW's rendezvous, Manticore's local heaps).
 func TestRunPtrResultAllModes(t *testing.T) {
 	for _, mode := range Modes {
 		procs := 2
@@ -60,10 +81,53 @@ func TestRunPtrResultAllModes(t *testing.T) {
 			})
 			return out
 		})
+		before := r.Stats().GC.Collections
+		churnSessions(t, r, 200)
+		collected := r.Stats().GC.Collections - before
 		got := Run(r, func(task *Task) uint64 { return task.ReadImmWord(p, 0) })
 		r.Close()
 		if got != 7 {
 			t.Fatalf("%v: Ptr result = %d, want 7", mode, got)
+		}
+		if (mode == STW || mode == Manticore) && collected == 0 {
+			t.Fatalf("%v: nothing was collected between the two Runs", mode)
+		}
+	}
+}
+
+// TestPinnedCellKeepsPublishedObjects stores fresh objects into a cell
+// that Run returned, from an unpinned session that completes and from one
+// that aborts, and reads them back after 50 more sessions. ParMem and
+// Manticore promote the stored objects into the root heap, STW's collector
+// treats the root's fields as roots, and Seq merges the storing session's
+// heap into the super-root instead of releasing it.
+func TestPinnedCellKeepsPublishedObjects(t *testing.T) {
+	for _, mode := range Modes {
+		r := New(aggressive(mode, 2)...)
+		cell := Run(r, func(task *Task) Ptr { return task.Alloc(2, 0, TagRef) })
+		publish := func(field int, v uint64, abort bool) {
+			_, err := r.Submit(SessionOpts{}, func(task *Task) uint64 {
+				obj := task.Alloc(0, 1, TagTuple)
+				task.InitWord(obj, 0, v)
+				task.WritePtr(cell, field, obj)
+				if abort {
+					task.Abort(0, nil)
+				}
+				return 0
+			}).Wait()
+			if (err != nil) != abort {
+				t.Fatalf("%v: publishing session returned %v", mode, err)
+			}
+		}
+		publish(0, 42, false)
+		publish(1, 43, true)
+		churnSessions(t, r, 50)
+		got := Run(r, func(task *Task) uint64 {
+			return task.ReadImmWord(task.ReadMutPtr(cell, 0), 0)*100 + task.ReadImmWord(task.ReadMutPtr(cell, 1), 0)
+		})
+		r.Close()
+		if got != 4243 {
+			t.Fatalf("%v: published values read back as %d, want 4243", mode, got)
 		}
 	}
 }

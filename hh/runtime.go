@@ -50,17 +50,26 @@ func (r *Runtime) Close() { r.rt.Close() }
 func ChunksInUse() int64 { return mem.ChunksInUse() }
 
 // Run executes fn as a single PINNED session — Submit + Wait — and blocks
-// for its result. The result may be any Go value; if it is (or contains) a
-// Ptr, the pointed-to objects remain valid until Close, because pinning
-// merges the session's subtree into the super-root, which is never
-// collected. Concurrent sessions started with Submit may run alongside and
-// cannot invalidate a pinned result; only unpinned sessions' own pointers
-// die when their subtree is reclaimed wholesale at Wait. A panic inside fn
-// is re-raised on the calling goroutine.
+// for its result. The result may be any Go value. A Ptr result, and every
+// object reachable from it, remains valid until Close: pinning merges the
+// session's subtree into the super-root (ParMem, Seq), and in STW and
+// Manticore, whose sessions allocate into worker heaps, Run copies the
+// result's graph into the root heap before the session ends. The root is
+// never collected. A Ptr nested inside another result type (a struct or a
+// slice) is kept only in ParMem and Seq. Concurrent sessions started with
+// Submit may run alongside and cannot invalidate a pinned result; only
+// unpinned sessions' own pointers die when their subtree is reclaimed
+// wholesale at Wait. A panic inside fn is re-raised on the calling
+// goroutine.
 func Run[T any](r *Runtime, fn func(t *Task) T) T {
 	var out T
 	r.rt.Run(func(inner *rts.Task) uint64 {
 		out = fn(&Task{r: r, inner: inner})
+		if m := r.Mode(); m == STW || m == Manticore {
+			if p, ok := any(out).(Ptr); ok {
+				out = any(Ptr{inner.PromoteToRoot(p.raw)}).(T)
+			}
+		}
 		return 0
 	})
 	return out

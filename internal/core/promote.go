@@ -60,9 +60,10 @@ func (b *PromoteBuf) track() int { return int(b.trackP1) - 1 }
 // target keeps concurrent findMaster calls from returning until the
 // promotion is complete.
 //
-// Deadlock freedom: this path is the only multi-heap acquisition in the
-// system, and it climbs the hierarchy bottom-up, so its lock waits only
-// target heaps strictly shallower than any lock held. A zone collection
+// Deadlock freedom: this path climbs the hierarchy bottom-up, so its lock
+// waits only target heaps strictly shallower than any lock held; the one
+// other multi-heap acquisition, Manticore's steal-time PromoteTo under the
+// victim heap's lock, goes deep then shallow too. A zone collection
 // holds a single heap's write lock and waits for no other heap lock while
 // holding it.
 func (b *PromoteBuf) lockPath(ops *Counters, src *heap.Heap, obj mem.ObjPtr) (mem.ObjPtr, *heap.Heap) {

@@ -164,10 +164,33 @@ func Collect(zone []*heap.Heap, roots []*mem.ObjPtr) Stats {
 // through cc, the collecting worker's chunk cache: to-space chunks are
 // acquired from it and the reclaimed from-space is recycled into it.
 func CollectWith(cc *mem.ChunkCache, zone []*heap.Heap, roots []*mem.ObjPtr) Stats {
+	return CollectUnder(cc, nil, zone, roots)
+}
+
+// CollectUnder is CollectWith for a zone below above, a heap that stays in
+// place but whose objects may point into the zone with no barrier having
+// moved the pointees up: every pointer field in above is a root as well.
+// STW collects its worker heaps this way under the root heap, since its
+// pointer writes are plain stores. A nil above is CollectWith.
+func CollectUnder(cc *mem.ChunkCache, above *heap.Heap, zone []*heap.Heap, roots []*mem.ObjPtr) Stats {
 	c := NewCollector(zone)
 	c.cache = cc
 	for _, r := range roots {
 		c.CopyRoot(r)
+	}
+	if above != nil {
+		for ch := above.Chunks(); ch != nil; ch = ch.Next {
+			for off := uint32(0); off < ch.Used(); {
+				o := mem.MakeObjPtr(ch.ID(), off)
+				for i, n := 0, mem.NumPtrFields(o); i < n; i++ {
+					if q := mem.LoadPtrField(o, i); !q.IsNil() {
+						mem.StorePtrField(o, i, c.copyObj(q))
+					}
+				}
+				c.drain()
+				off += uint32(mem.SizeWords(o))
+			}
+		}
 	}
 	return c.Finish()
 }

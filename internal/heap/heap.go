@@ -49,10 +49,9 @@ type Heap struct {
 	capWords  int64 // total chunk capacity
 	_         uint64
 
-	tail         *mem.Chunk // newest chunk; allocation target
-	usedWords    int64      // words handed out to objects
-	AllocSinceGC int64      // GC policy input: words allocated since the last collection
-	_            [5]uint64
+	tail      *mem.Chunk // newest chunk; allocation target
+	usedWords int64      // words handed out to objects
+	_         [6]uint64
 }
 
 var heapIDs atomic.Uint64
@@ -157,7 +156,6 @@ func Join(parent, child *Heap) {
 	}
 	parent.usedWords += child.usedWords
 	parent.capWords += child.capWords
-	parent.AllocSinceGC += child.AllocSinceGC
 	parent.LiveWords += child.LiveWords
 	child.head, child.tail, child.nChunks = nil, nil, 0
 	child.merged.Store(parent)
@@ -220,7 +218,6 @@ func (h *Heap) FreshObjVia(cc *mem.ChunkCache, numPtr, numNonptr int, tag mem.Ta
 		}
 	}
 	h.usedWords += int64(need)
-	h.AllocSinceGC += int64(need)
 	return mem.InitObject(c, off, numPtr, numNonptr, tag)
 }
 
@@ -259,7 +256,6 @@ func (h *Heap) AdoptFrom(twin *Heap) {
 	h.head, h.tail, h.nChunks = twin.head, twin.tail, twin.nChunks
 	h.usedWords, h.capWords = twin.usedWords, twin.capWords
 	h.LiveWords = twin.usedWords
-	h.AllocSinceGC = 0
 	twin.head, twin.tail, twin.nChunks = nil, nil, 0
 }
 

@@ -207,7 +207,7 @@ func TestTwinAdopt(t *testing.T) {
 	if h.IsTo() {
 		t.Fatal("heap itself must not become a to-space")
 	}
-	if h.AllocSinceGC != 0 || h.LiveWords != h.UsedWords() {
+	if h.LiveWords != h.UsedWords() {
 		t.Fatal("GC bookkeeping not reset by adoption")
 	}
 }

@@ -318,15 +318,14 @@ func TestHeapLayout(t *testing.T) {
 		t.Fatalf("Heap is %d bytes, want %d", size, 3*line)
 	}
 	lines := map[string]uintptr{
-		"lk.word":      (unsafe.Offsetof(h.lk) + unsafe.Offsetof(h.lk.word)) / line,
-		"depth":        unsafe.Offsetof(h.depth) / line,
-		"parent":       unsafe.Offsetof(h.parent) / line,
-		"merged":       unsafe.Offsetof(h.merged) / line,
-		"tail":         unsafe.Offsetof(h.tail) / line,
-		"usedWords":    unsafe.Offsetof(h.usedWords) / line,
-		"AllocSinceGC": unsafe.Offsetof(h.AllocSinceGC) / line,
+		"lk.word":   (unsafe.Offsetof(h.lk) + unsafe.Offsetof(h.lk.word)) / line,
+		"depth":     unsafe.Offsetof(h.depth) / line,
+		"parent":    unsafe.Offsetof(h.parent) / line,
+		"merged":    unsafe.Offsetof(h.merged) / line,
+		"tail":      unsafe.Offsetof(h.tail) / line,
+		"usedWords": unsafe.Offsetof(h.usedWords) / line,
 	}
-	want := map[string]uintptr{"lk.word": 0, "depth": 1, "parent": 1, "merged": 1, "tail": 2, "usedWords": 2, "AllocSinceGC": 2}
+	want := map[string]uintptr{"lk.word": 0, "depth": 1, "parent": 1, "merged": 1, "tail": 2, "usedWords": 2}
 	for f, l := range lines {
 		if l != want[f] {
 			t.Errorf("%s is on line %d of the struct, want %d", f, l, want[f])

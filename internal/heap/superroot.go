@@ -51,7 +51,7 @@ func ReleaseWholesale(cc *mem.ChunkCache, parent, child *Heap) int64 {
 	}
 	bytes := child.CapWords() * 8
 	RecycleChunkList(cc, child.TakeChunks())
-	child.AllocSinceGC, child.LiveWords = 0, 0
+	child.LiveWords = 0
 	child.merged.Store(parent)
 	return bytes
 }

@@ -22,8 +22,8 @@
 // subtree being released wholesale — trades chunks worker-locally with
 // ZERO shared-state operations. Overflow and cold flushes land in the
 // global pool: one free list per size class under one mutex, held briefly;
-// only when the pool is above its high-water mark (SetChunkPoolLimit) does
-// memory go back to the OS.
+// only when the pool is above its high-water mark (DefaultPoolLimitBytes,
+// 64 MiB) does memory go back to the OS.
 //
 // Each Chunk carries an opaque owner slot that the heap package fills with
 // the chunk's owning heap, so heapOf is a directory lookup plus one load.

@@ -131,77 +131,67 @@ func StoreFwd(p, next ObjPtr) {
 // HasFwd reports whether the object has a forwarding pointer installed.
 func HasFwd(p ObjPtr) bool { return !LoadFwd(p).IsNil() }
 
-func checkPtrField(p ObjPtr, i int) uint32 {
-	h := headerOf(p)
-	if uint(i) >= uint(headerNumPtr(h)) {
+// ptrField resolves p's chunk once, checks i against the object's
+// pointer-field count and returns the address of pointer field i.
+func ptrField(p ObjPtr, i int) *uint64 {
+	d := GetChunk(p.ChunkID()).Data[p.Off():]
+	if h := d[hdrOff]; uint(i) >= uint(headerNumPtr(h)) {
 		panic(fmt.Sprintf("mem: pointer field %d out of range on %v (%s, %d ptr fields)",
 			i, p, headerTag(h), headerNumPtr(h)))
 	}
-	return p.Off() + HeaderWords + uint32(i)
+	return &d[HeaderWords+i]
 }
 
-func checkWordField(p ObjPtr, i int) uint32 {
-	h := headerOf(p)
+// wordField is ptrField for non-pointer word i.
+func wordField(p ObjPtr, i int) *uint64 {
+	d := GetChunk(p.ChunkID()).Data[p.Off():]
+	h := d[hdrOff]
 	if uint(i) >= uint(headerNumNonptr(h)) {
 		panic(fmt.Sprintf("mem: word field %d out of range on %v (%s, %d words)",
 			i, p, headerTag(h), headerNumNonptr(h)))
 	}
-	return p.Off() + HeaderWords + uint32(headerNumPtr(h)) + uint32(i)
+	return &d[HeaderWords+headerNumPtr(h)+i]
 }
 
 // LoadPtrField reads pointer field i with a plain load. Use for immutable
 // fields, initialization, and single-owner phases.
-func LoadPtrField(p ObjPtr, i int) ObjPtr {
-	return ObjPtr(GetChunk(p.ChunkID()).Data[checkPtrField(p, i)])
-}
+func LoadPtrField(p ObjPtr, i int) ObjPtr { return ObjPtr(*ptrField(p, i)) }
 
 // StorePtrField writes pointer field i with a plain store (initializing
 // writes only).
-func StorePtrField(p ObjPtr, i int, q ObjPtr) {
-	GetChunk(p.ChunkID()).Data[checkPtrField(p, i)] = uint64(q)
-}
+func StorePtrField(p ObjPtr, i int, q ObjPtr) { *ptrField(p, i) = uint64(q) }
 
 // LoadPtrFieldAtomic reads mutable pointer field i.
 func LoadPtrFieldAtomic(p ObjPtr, i int) ObjPtr {
-	return ObjPtr(atomic.LoadUint64(&GetChunk(p.ChunkID()).Data[checkPtrField(p, i)]))
+	return ObjPtr(atomic.LoadUint64(ptrField(p, i)))
 }
 
 // StorePtrFieldAtomic writes mutable pointer field i.
 func StorePtrFieldAtomic(p ObjPtr, i int, q ObjPtr) {
-	atomic.StoreUint64(&GetChunk(p.ChunkID()).Data[checkPtrField(p, i)], uint64(q))
+	atomic.StoreUint64(ptrField(p, i), uint64(q))
 }
 
 // CASPtrField atomically compares-and-swaps mutable pointer field i. It
 // backs the benchmarks' compare-and-swap visited marks.
 func CASPtrField(p ObjPtr, i int, old, new ObjPtr) bool {
-	return atomic.CompareAndSwapUint64(
-		&GetChunk(p.ChunkID()).Data[checkPtrField(p, i)], uint64(old), uint64(new))
+	return atomic.CompareAndSwapUint64(ptrField(p, i), uint64(old), uint64(new))
 }
 
 // LoadWordField reads non-pointer word i with a plain load.
-func LoadWordField(p ObjPtr, i int) uint64 {
-	return GetChunk(p.ChunkID()).Data[checkWordField(p, i)]
-}
+func LoadWordField(p ObjPtr, i int) uint64 { return *wordField(p, i) }
 
 // StoreWordField writes non-pointer word i with a plain store.
-func StoreWordField(p ObjPtr, i int, v uint64) {
-	GetChunk(p.ChunkID()).Data[checkWordField(p, i)] = v
-}
+func StoreWordField(p ObjPtr, i int, v uint64) { *wordField(p, i) = v }
 
 // LoadWordFieldAtomic reads mutable non-pointer word i.
-func LoadWordFieldAtomic(p ObjPtr, i int) uint64 {
-	return atomic.LoadUint64(&GetChunk(p.ChunkID()).Data[checkWordField(p, i)])
-}
+func LoadWordFieldAtomic(p ObjPtr, i int) uint64 { return atomic.LoadUint64(wordField(p, i)) }
 
 // StoreWordFieldAtomic writes mutable non-pointer word i.
-func StoreWordFieldAtomic(p ObjPtr, i int, v uint64) {
-	atomic.StoreUint64(&GetChunk(p.ChunkID()).Data[checkWordField(p, i)], v)
-}
+func StoreWordFieldAtomic(p ObjPtr, i int, v uint64) { atomic.StoreUint64(wordField(p, i), v) }
 
 // CASWordField atomically compares-and-swaps mutable non-pointer word i.
 func CASWordField(p ObjPtr, i int, old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(
-		&GetChunk(p.ChunkID()).Data[checkWordField(p, i)], old, new)
+	return atomic.CompareAndSwapUint64(wordField(p, i), old, new)
 }
 
 // CopyBody copies every field word (pointer and non-pointer alike, but not

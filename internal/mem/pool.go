@@ -54,8 +54,8 @@ var classWords = [...]int{
 
 const numClasses = len(classWords)
 
-// DefaultPoolLimitBytes is the default high-water mark of the global chunk
-// pool: recycled slabs beyond it go back to the OS.
+// DefaultPoolLimitBytes is the high-water mark of the global chunk pool:
+// recycled slabs beyond it go back to the OS.
 const DefaultPoolLimitBytes = 64 << 20
 
 // DefaultCacheChunksPerClass is the default per-worker cache bound, in
@@ -218,63 +218,26 @@ func AllocSnapshot() AllocStats {
 	}
 }
 
-// pool is the global tier: one stack of parked slabs per size class, the
-// bytes they hold and the high-water limit, all under one mutex. It is a
-// leaf lock: nothing else is acquired while holding it.
+// pool is the global tier: one stack of parked slabs per size class and
+// the bytes they hold, under one mutex. It is a leaf lock: nothing else is
+// acquired while holding it.
 var pool struct {
 	mu    sync.Mutex
 	free  [numClasses][]slab
-	bytes int64 // bytes parked
-	limit int64 // high-water mark in bytes; 0 disables pooling
+	bytes int64 // bytes parked, at most DefaultPoolLimitBytes
 }
 
-func init() { pool.limit = DefaultPoolLimitBytes }
-
-// SetChunkPoolLimit sets the pool's high-water mark in bytes: recycled
-// slabs that would push the pooled total past it are released to the OS
-// instead. 0 disables pooling entirely (every release is a hard free) and
-// drains anything currently pooled. Lowering the limit trims the surplus
-// immediately. The limit, like the chunk directory, is process-global; the
-// runtime leaves it at DefaultPoolLimitBytes, and only tests change it.
-func SetChunkPoolLimit(bytes int64) {
-	if bytes < 0 {
-		bytes = 0
-	}
-	pool.mu.Lock()
-	pool.limit = bytes
-	pool.mu.Unlock()
-	trimPool(bytes)
-}
-
-// ChunkPoolLimit returns the pool's current high-water mark in bytes
-// (0 = pooling disabled), so a test that changes it can restore it.
-func ChunkPoolLimit() int64 {
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	return pool.limit
-}
-
-// DrainChunkPool releases every pooled slab to the OS and reports how many
-// chunks it freed. Leak tests and memory-pressure hooks use it; the pool
-// limit is unchanged.
+// DrainChunkPool releases every pooled slab to the OS, destroying them
+// outside the pool lock, and reports how many chunks it freed. Leak tests
+// and memory-pressure hooks use it.
 func DrainChunkPool() int {
-	return trimPool(0)
-}
-
-// trimPool removes slabs (largest classes first) until the pooled total
-// is at most target bytes, destroying them outside the pool lock. Returns
-// the number of slabs destroyed.
-func trimPool(target int64) int {
 	var out []slab
 	pool.mu.Lock()
-	for cls := numClasses - 1; cls >= 0 && pool.bytes > target; cls-- {
-		for n := len(pool.free[cls]); n > 0 && pool.bytes > target; n-- {
-			s := pool.free[cls][n-1]
-			pool.free[cls] = pool.free[cls][:n-1]
-			pool.bytes -= int64(len(s.data)) * 8
-			out = append(out, s)
-		}
+	for cls := range pool.free {
+		out = append(out, pool.free[cls]...)
+		pool.free[cls] = pool.free[cls][:0]
 	}
+	pool.bytes = 0
 	pool.mu.Unlock()
 	for _, s := range out {
 		destroySlab(s)
@@ -379,11 +342,11 @@ func (cc *ChunkCache) Flush() {
 }
 
 // poolPut parks a slab in the global pool, or destroys it when the pool
-// is at its high-water mark (or pooling is disabled).
+// is at its high-water mark.
 func poolPut(cls int, s slab) {
 	bytes := int64(len(s.data)) * 8
 	pool.mu.Lock()
-	if pool.bytes+bytes > pool.limit {
+	if pool.bytes+bytes > DefaultPoolLimitBytes {
 		pool.mu.Unlock()
 		destroySlab(s)
 		return

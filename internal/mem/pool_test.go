@@ -5,16 +5,12 @@ import (
 	"testing"
 )
 
-// resetPool drains the global pool and restores the default limit, so
-// tests that count pool contents do not see other tests' slabs.
+// resetPool drains the global pool, so tests that count pool contents do
+// not see other tests' slabs.
 func resetPool(t *testing.T) {
 	t.Helper()
-	SetChunkPoolLimit(DefaultPoolLimitBytes)
 	DrainChunkPool()
-	t.Cleanup(func() {
-		SetChunkPoolLimit(DefaultPoolLimitBytes)
-		DrainChunkPool()
-	})
+	t.Cleanup(func() { DrainChunkPool() })
 }
 
 func TestAcquireRoundsUpToClass(t *testing.T) {
@@ -151,27 +147,23 @@ func TestWorkerCacheBounds(t *testing.T) {
 
 func TestPoolHighWaterReleasesToOS(t *testing.T) {
 	resetPool(t)
-	// Limit the pool to two minimum-class slabs.
-	SetChunkPoolLimit(2 * MinChunkWords * 8)
+	// Two largest-class slabs more than the pool may hold.
+	words := classWords[numClasses-1]
+	fit := DefaultPoolLimitBytes / (int64(words) * 8)
 	var chunks []*Chunk
-	for i := 0; i < 4; i++ {
-		chunks = append(chunks, AcquireChunk(nil, MinChunkWords))
+	for i := int64(0); i < fit+2; i++ {
+		chunks = append(chunks, AcquireChunk(nil, words))
 	}
 	before := AllocSnapshot()
 	for _, c := range chunks {
 		RecycleChunk(nil, c)
 	}
 	delta := AllocSnapshot().Sub(before)
-	if delta.ToPool != 2 || delta.ToOS != 2 {
-		t.Fatalf("recycle over high-water: ToPool=%d ToOS=%d, want 2 and 2", delta.ToPool, delta.ToOS)
+	if delta.ToPool != fit || delta.ToOS != 2 {
+		t.Fatalf("recycle over high-water: ToPool=%d ToOS=%d, want %d and 2", delta.ToPool, delta.ToOS, fit)
 	}
-	if got := PooledBytes(); got > 2*MinChunkWords*8 {
-		t.Fatalf("PooledBytes = %d, want <= high-water %d", got, 2*MinChunkWords*8)
-	}
-	// Lowering the limit trims immediately.
-	SetChunkPoolLimit(0)
-	if got := PooledBytes(); got != 0 {
-		t.Fatalf("PooledBytes after disabling = %d, want 0", got)
+	if got := PooledBytes(); got > DefaultPoolLimitBytes {
+		t.Fatalf("PooledBytes = %d, want <= high-water %d", got, int64(DefaultPoolLimitBytes))
 	}
 }
 

@@ -14,10 +14,10 @@
 //     so zones of different tasks collect concurrently with nothing to
 //     admit them; gc.ZoneRecorder counts the overlap.
 //   - STW — Spoonhower-style parallel ML: the same scheduler, per-worker
-//     allocation into flat heaps, and sequential stop-the-world semispace
-//     collection with a safe-point rendezvous (labelled mlton-spoonhower).
-//     This is the only mode that installs the scheduler's parking
-//     safe-point hook.
+//     allocation into worker heaps with no write barrier, and sequential
+//     stop-the-world semispace collection of every worker heap with a
+//     safe-point rendezvous (labelled mlton-spoonhower). This is the only
+//     mode that installs the scheduler's parking safe-point hook.
 //   - Seq — the sequential baseline: direct execution of both forkjoin
 //     arms, plain loads and stores, one heap per session (labelled mlton).
 //     Its sessions run on the same worker pool as every other mode's, so
@@ -28,6 +28,14 @@
 //     stolen-task results), and local heaps are collected independently —
 //     through the same zone recorder, so their concurrency shows up in the
 //     same counters.
+//
+// The four systems differ only in the shape of one heap hierarchy. Every
+// runtime has a never-collected root heap, which holds what outlives a
+// session; ParMem and Seq hang a heap per session under it, and STW and
+// Manticore a heap per worker. Every task allocates through a superheap:
+// a stack of heaps that ParMem grows by one level per parallel fork and
+// that is one level deep in the other modes. Each heap has one lock, its
+// own, and no other lock orders access to a heap's objects.
 //
 // Tasks carry a shadow stack of root slots (registered *mem.ObjPtr Go
 // locals); collections update the slots in place. The rooting contract for

@@ -1,7 +1,6 @@
 package rts
 
 import (
-	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/mem"
 	"repro/internal/sched"
@@ -34,7 +33,7 @@ type frame struct {
 	result   mem.ObjPtr      // right arm's pointer result
 	scalar   uint64          // right arm's word result
 	childSH  *heap.Superheap // ParMem: the thief's superheap, adopted at join
-	forkHeap *heap.Heap      // ParMem: heap at the fork point
+	forkHeap *heap.Heap      // the forking task's current heap at the fork
 }
 
 // publish makes fr stealable: it charges the frame to the session's
@@ -140,7 +139,7 @@ func (t *Task) forkJoin(env mem.ObjPtr, f, g Thunk, fw, gw ScalarThunk) (l, r me
 		return l, r, lw, rw
 	}
 	t.forks.Parallel++
-	fr := &frame{owner: t, env: env}
+	fr := &frame{owner: t, env: env, forkHeap: t.sh.Current()}
 	mark := t.PushRoot(&fr.env, &fr.left)
 	if rt.cfg.Mode == STW {
 		// Only the stop-the-world collector may need to relocate a stolen
@@ -156,7 +155,6 @@ func (t *Task) forkJoin(env mem.ObjPtr, f, g Thunk, fw, gw ScalarThunk) (l, r me
 		t.stopForGCTask()
 	}
 	if rt.cfg.Mode == ParMem {
-		fr.forkHeap = t.sh.Current()
 		t.pushHeap()
 	}
 	fr.sf = sched.NewFrame(func(thief *sched.Worker) {
@@ -218,33 +216,30 @@ func (fr *frame) runStolen(thief *sched.Worker, g Thunk, gw ScalarThunk) {
 		mark := st.PushRoot(&env)
 		runArm(st, env, g, gw, &fr.result, &fr.scalar)
 		st.PopRoots(mark)
-		if r.cfg.Mode == Manticore && !fr.result.IsNil() && heap.Of(fr.result).Depth() > 0 {
+		if r.cfg.Mode == Manticore {
 			// Result communication to another worker promotes the result's
 			// object graph to the shared global heap (DLG invariant).
-			fr.result = core.PromoteTo(st.chunkCache(), &st.Ops, r.rootHeap, fr.result)
+			fr.result = st.PromoteToRoot(fr.result)
 		}
 	})
 }
 
 // stolenEnv resolves the environment seen by a stolen frame. In Manticore
-// mode the environment is promoted to the global heap under the victim's
-// local-heap lock (steal-time communication); the lock also orders the read
-// of fr.env against the victim's local collections, which update the
-// frame's rooted env slot in place.
+// mode the environment is promoted to the global heap (steal-time
+// communication) under the WRITE lock of the victim's heap, which its
+// local collections hold while they copy: the lock orders the read of
+// fr.env against those collections, which update the frame's rooted env
+// slot in place. The root's lock is taken second, deep then shallow, the
+// order of every promotion climb.
 func (fr *frame) stolenEnv(st *Task) mem.ObjPtr {
-	r := fr.owner.rt
-	if r.cfg.Mode != Manticore {
+	if fr.owner.rt.cfg.Mode != Manticore {
 		return fr.env
 	}
-	ws := fr.owner.ws
-	ws.localMu.Lock()
-	env := fr.env
-	if !env.IsNil() && heap.Of(env).Depth() > 0 {
-		// The thief works on the promoted copy; the victim's inline arm
-		// keeps using the original (fr.env is not written back — the
-		// parent reads it concurrently for the left arm).
-		env = core.PromoteTo(st.chunkCache(), &st.Ops, r.rootHeap, env)
-	}
-	ws.localMu.Unlock()
+	fr.forkHeap.Lock(heap.WRITE)
+	// The thief works on the promoted copy; the victim's inline arm keeps
+	// using the original (fr.env is not written back — the parent reads it
+	// concurrently for the left arm).
+	env := st.PromoteToRoot(fr.env)
+	fr.forkHeap.Unlock()
 	return env
 }

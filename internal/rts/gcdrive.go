@@ -14,7 +14,8 @@ import (
 // the collector; all other workers park at safe points (allocations,
 // forks, and the scheduler's idle/wait loops); the collector then runs a
 // sequential semispace collection over every worker heap, rooted by every
-// live task. Parked time is charged to GC, which is how the paper reports
+// live task and by the pointer fields of the root heap above the worker
+// heaps. Parked time is charged to GC, which is how the paper reports
 // GC_72 for mlton-spoonhower ("processor time spent blocked during a
 // stop-the-world collection").
 //
@@ -108,7 +109,9 @@ func (r *Runtime) triggerSTW(t *Task) {
 			roots = append(roots, task.roots...)
 		}
 	}
-	stats := gc.CollectWith(t.chunkCache(), zone, roots)
+	// The root heap stays put, but a plain STW store may have linked a
+	// worker object into a pinned result that lives there.
+	stats := gc.CollectUnder(t.chunkCache(), r.rootHeap, zone, roots)
 	r.stwLastLive.Store(mem.LiveBytes() - r.baselineBytes)
 	t.gcStats.Add(stats)
 	t.gcNanos += time.Since(start).Nanoseconds()

@@ -13,20 +13,15 @@ import (
 // atomics for mutable data (parallel mutators) but needs no barriers.
 
 // Alloc allocates an object with numPtr pointer fields and numNonptr raw
-// words, running the mode's collection trigger first (allocation points are
-// the GC safe points). Allocation is also the session safe point: an
-// aborted session's tasks unwind here, and the session allocation budget
-// is charged here (session.go allocGate).
+// words in the task's current heap, running the mode's collection trigger
+// first (allocation points are the GC safe points). Allocation is also the
+// session safe point: an aborted session's tasks unwind here, and the
+// session allocation budget is charged here (session.go allocGate).
 func (t *Task) Alloc(numPtr, numNonptr int, tag mem.Tag) mem.ObjPtr {
 	t.allocGate(mem.ObjectWords(numPtr, numNonptr))
 	r := t.rt
+	h := t.sh.Current()
 	switch r.cfg.Mode {
-	case ParMem, Seq:
-		h := t.sh.Current()
-		if t.shouldCollect(h) {
-			t.collectZone(h, gc.LeafZone)
-		}
-		return core.Alloc(t.chunkCache(), h, &t.Ops, numPtr, numNonptr, tag)
 	case STW:
 		if r.gcFlag.Load() {
 			t.stopForGCTask()
@@ -34,14 +29,16 @@ func (t *Task) Alloc(numPtr, numNonptr int, tag mem.Tag) mem.ObjPtr {
 		if r.stwShouldCollect() {
 			r.triggerSTW(t)
 		}
-		return core.Alloc(t.chunkCache(), t.ws.heap, &t.Ops, numPtr, numNonptr, tag)
-	default: // Manticore
-		h := t.ws.heap
+	case Manticore:
 		if r.cfg.Policy.ShouldCollect(h) {
 			t.collectLocal()
 		}
-		return core.Alloc(t.chunkCache(), h, &t.Ops, numPtr, numNonptr, tag)
+	default:
+		if t.shouldCollect(h) {
+			t.collectZone(h, gc.LeafZone)
+		}
 	}
+	return core.Alloc(t.chunkCache(), h, &t.Ops, numPtr, numNonptr, tag)
 }
 
 // AllocMut allocates an object that will be mutated and shared. In the
@@ -119,10 +116,8 @@ func (t *Task) ReadMutPtr(p mem.ObjPtr, i int) mem.ObjPtr {
 // WriteNonptr writes a mutable raw word field.
 func (t *Task) WriteNonptr(p mem.ObjPtr, i int, v uint64) {
 	switch t.rt.cfg.Mode {
-	case ParMem:
+	case ParMem, Manticore:
 		core.WriteNonptr(t.sh.Current(), &t.Ops, p, i, v)
-	case Manticore:
-		core.WriteNonptr(t.ws.heap, &t.Ops, p, i, v)
 	case Seq:
 		t.Ops.WriteNonptrLocal++
 		mem.StoreWordField(p, i, v)
@@ -143,21 +138,38 @@ func (t *Task) CASWord(p mem.ObjPtr, i int, old, new uint64) bool {
 	}
 }
 
-// WritePtr writes a mutable pointer field, promoting in the hierarchical
-// modes when the write would entangle the hierarchy.
+// WritePtr writes a mutable pointer field, promoting in ParMem and
+// Manticore when the write would entangle the hierarchy. A Seq store of a
+// pointer into an object outside the session's heap — a cell a pinned
+// session returned — marks the session escaped, so that the session's heap
+// outlives it (Session.reclaim).
 func (t *Task) WritePtr(p mem.ObjPtr, i int, q mem.ObjPtr) {
 	switch t.rt.cfg.Mode {
-	case ParMem:
+	case ParMem, Manticore:
 		core.WritePtr(t.chunkCache(), t.sh.Current(), &t.pbuf, &t.Ops, p, i, q)
-	case Manticore:
-		core.WritePtr(t.chunkCache(), t.ws.heap, &t.pbuf, &t.Ops, p, i, q)
 	case Seq:
+		if !q.IsNil() && heap.Of(p) != t.sh.Current() {
+			t.ses.escaped = true
+		}
 		t.Ops.WritePtrFast++
 		mem.StorePtrField(p, i, q)
 	default: // STW
 		t.Ops.WritePtrFast++
 		mem.StorePtrFieldAtomic(p, i, q)
 	}
+}
+
+// PromoteToRoot copies the object graph reachable from p into the root
+// heap, which is never collected, and returns the root copy; a nil p or one
+// already in the root is returned as is. The flat modes use it for what
+// must outlive the worker heap it was built in: Manticore's stolen
+// environments and results, and a Ptr result of hh.Run in STW and
+// Manticore.
+func (t *Task) PromoteToRoot(p mem.ObjPtr) mem.ObjPtr {
+	if p.IsNil() || heap.Of(p).Depth() == 0 {
+		return p
+	}
+	return core.PromoteTo(t.chunkCache(), &t.Ops, t.rt.rootHeap, p)
 }
 
 // WriteInitWord performs an initializing raw-word store into a fresh

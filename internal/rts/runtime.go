@@ -22,14 +22,16 @@ type Runtime struct {
 	pool   *sched.Pool
 	closed atomic.Bool
 
-	// rootHeap is the hierarchy root (ParMem, Seq) or the shared global
-	// heap (Manticore). Unused in STW mode.
+	// rootHeap is the never-collected root of the hierarchy in every mode:
+	// the super-root that sessions hang under (ParMem, Seq), the parent of
+	// the worker heaps (STW), or the shared global heap above them
+	// (Manticore). Pinned results live here until Close.
 	rootHeap *heap.Heap
 	states   []*workerState
 
-	// zones runs and counts zone collections in the hierarchical modes
-	// (ParMem, Seq, Manticore). Nil in STW mode, whose collections are a
-	// whole-world rendezvous instead (gcdrive.go).
+	// zones runs and counts zone collections: ParMem's and Seq's session
+	// heaps, Manticore's worker heaps. STW collects by a whole-world
+	// rendezvous instead (gcdrive.go) and records no zones.
 	zones *gc.ZoneRecorder
 
 	// totals are the merged per-task counters. A task finishes once per
@@ -64,10 +66,7 @@ type Runtime struct {
 // workerState is the per-worker runtime state used by the STW and
 // Manticore modes.
 type workerState struct {
-	heap *heap.Heap
-	// localMu orders local-heap collection against cross-worker promotion
-	// out of this heap (Manticore's steal-time environment copy).
-	localMu sync.Mutex
+	heap *heap.Heap // the worker's heap, a child of the root
 	// tasks hosted on this worker; touched only by the worker's goroutine.
 	tasks map[*Task]struct{}
 }
@@ -113,19 +112,13 @@ func New(cfg Config) *Runtime {
 	// this runtime's allocator traffic, not the process's.
 	r.baselineAlloc = mem.AllocSnapshot()
 
-	if cfg.Mode != STW {
-		r.rootHeap = heap.NewRoot()
-		r.zones = gc.NewZoneRecorder()
-	}
-
-	r.pool = sched.NewPool(cfg.Procs, sched.WithChunkCaches(mem.DefaultCacheChunksPerClass))
+	r.rootHeap = heap.NewRoot()
+	r.zones = gc.NewZoneRecorder()
+	r.pool = sched.NewPool(cfg.Procs)
 	r.states = make([]*workerState, cfg.Procs)
 	for i, w := range r.pool.Workers() {
 		ws := &workerState{tasks: make(map[*Task]struct{})}
-		switch cfg.Mode {
-		case STW:
-			ws.heap = heap.NewRoot()
-		case Manticore:
+		if cfg.Mode == STW || cfg.Mode == Manticore {
 			ws.heap = heap.NewChild(r.rootHeap)
 		}
 		r.states[i] = ws
@@ -165,19 +158,19 @@ func (r *Runtime) Run(fn func(*Task) uint64) uint64 {
 }
 
 // newTask creates a task of session s on worker w: a session's root task,
-// or the context of a stolen frame. In the hierarchical modes its
-// superheap is based at base — the session's subtree heap, or a stolen
-// ParMem arm's fresh child of the fork heap; the flat modes pass nil and
-// allocate into the worker's heap.
+// or the context of a stolen frame. Its superheap is based at base — the
+// session's subtree heap, or a stolen ParMem arm's fresh child of the fork
+// heap. The flat modes pass nil: the task's stack is the one level of its
+// worker's heap, and the task joins the worker's root set.
 func (r *Runtime) newTask(w *sched.Worker, s *Session, base *heap.Heap) *Task {
 	t := &Task{rt: r, w: w, ses: s}
 	t.pbuf.SetTrack(w.ID)
-	if base != nil {
-		t.sh = heap.NewSuperheap(base)
-	} else {
+	if base == nil {
 		t.ws = w.Local.(*workerState)
 		t.ws.tasks[t] = struct{}{}
+		base = t.ws.heap
 	}
+	t.sh = heap.NewSuperheap(base)
 	return t
 }
 
@@ -228,9 +221,7 @@ func (r *Runtime) Stats() Totals {
 	t.Ops, t.GC, t.Forks = r.ops, r.gcStats, r.forks
 	r.totalsMu.Unlock()
 	t.Steals = r.pool.TotalSteals()
-	if r.zones != nil {
-		t.Zones = r.zones.Snapshot()
-	}
+	t.Zones = r.zones.Snapshot()
 	t.Alloc = mem.AllocSnapshot().Sub(r.baselineAlloc)
 	t.Sessions = SessionTotals{
 		Submitted:      r.sessTotals.Submitted.Load(),
@@ -246,12 +237,9 @@ func (r *Runtime) Stats() Totals {
 // CheckDisentangled verifies the disentanglement invariant over the root
 // heap. After a completed Run every task heap has been joined into the
 // root, so this checks the entire surviving object graph. Debugging aid.
-func (r *Runtime) CheckDisentangled() error {
-	if r.rootHeap == nil {
-		return nil
-	}
-	return core.CheckHeap(r.rootHeap)
-}
+// STW's pointer writes have no barrier, so there a worker object stored
+// into a pinned result reads as entanglement.
+func (r *Runtime) CheckDisentangled() error { return core.CheckHeap(r.rootHeap) }
 
 // Close stops the workers, releases every heap owned by the runtime, and
 // allows a new Runtime to be created. Closing twice is a no-op; only the
@@ -280,13 +268,11 @@ func (r *Runtime) Close() {
 		w.Chunks.Flush()
 	}
 	for _, ws := range r.states {
-		if ws.heap != nil && ws.heap.IsAlive() {
+		if ws.heap != nil {
 			heap.FreeChunkList(ws.heap.TakeChunks())
 		}
 	}
-	if r.rootHeap != nil && r.rootHeap.IsAlive() {
-		heap.FreeChunkList(r.rootHeap.TakeChunks())
-	}
+	heap.FreeChunkList(r.rootHeap.TakeChunks())
 	if r.traceOwner {
 		trace.Stop()
 	}

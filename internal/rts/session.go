@@ -122,9 +122,16 @@ type Session struct {
 	allocWords  atomic.Int64
 
 	// heap is the session subtree's base, a child of the process super-root
-	// (hierarchical modes only; nil in STW and Manticore, whose sessions
-	// allocate into worker heaps).
+	// (ParMem and Seq; nil in STW and Manticore, whose sessions allocate
+	// into worker heaps).
 	heap *heap.Heap
+
+	// escaped is set by a Seq pointer store into an object outside the
+	// session's heap (Task.WritePtr): something the session built is now
+	// reachable from a pinned object, so its heap is no longer collected
+	// and is merged into the super-root at completion, failed or not. Only
+	// the session's one task writes it (Seq forks inline).
+	escaped bool
 
 	// outstanding counts published-but-unconsumed frames, the root frame
 	// included. Reclamation waits for it to reach zero so that no stolen
@@ -327,11 +334,11 @@ func (s *Session) protect(t *Task, fn func(*Task) uint64) (res uint64) {
 	return res
 }
 
-// reclaim releases (or, pinned, merges) the session subtree and publishes
-// the session's completion. It runs on worker w, whose chunk cache
-// receives the released chunks first — the per-request reuse path: the
-// chunks of the request that just finished become the chunks of whatever
-// this worker runs next, with no directory traffic at all.
+// reclaim releases (or, pinned or escaped, merges) the session subtree
+// and publishes the session's completion. It runs on worker w, whose
+// chunk cache receives the released chunks first — the per-request reuse
+// path: the chunks of the request that just finished become the chunks of
+// whatever this worker runs next, with no directory traffic at all.
 func (s *Session) reclaim(w *sched.Worker, res uint64) {
 	r := s.r
 	s.mu.Lock()
@@ -341,11 +348,10 @@ func (s *Session) reclaim(w *sched.Worker, res uint64) {
 	s.mu.Unlock()
 
 	if s.heap != nil {
-		pinJoin := s.pin && err == nil && s.heap.IsAlive()
-		if pinJoin {
-			// Pinned: splice the subtree's chunks into the super-root in
-			// O(1). The write lock orders the splice against promotions
-			// into the super-root by concurrent sessions.
+		if (s.pin && err == nil || s.escaped) && s.heap.IsAlive() {
+			// Pinned or escaped: splice the subtree's chunks into the
+			// super-root in O(1). The write lock orders the splice against
+			// promotions into the super-root by concurrent sessions.
 			bytes := s.heap.CapWords() * 8
 			r.rootHeap.Lock(heap.WRITE)
 			heap.Join(r.rootHeap, s.heap)

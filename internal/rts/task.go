@@ -11,15 +11,16 @@ import (
 )
 
 // Task is one user-level thread: the execution context for a path of
-// forkjoin tasks (Appendix B). It owns a superheap in ParMem mode, points
-// at its worker's allocation heap in the flat modes, carries per-task
-// operation counters, and holds the shadow stack of GC root slots.
+// forkjoin tasks (Appendix B). It allocates through its superheap — the
+// stack of heaps its forks pushed in ParMem, one level everywhere else —
+// carries per-task operation counters, and holds the shadow stack of GC
+// root slots.
 type Task struct {
 	rt  *Runtime
 	w   *sched.Worker
-	sh  *heap.Superheap // ParMem / Seq
-	ws  *workerState    // STW / Manticore
-	ses *Session        // owning session (every task belongs to one)
+	sh  *heap.Superheap
+	ws  *workerState // STW / Manticore: the worker whose root set holds the task
+	ses *Session     // owning session (every task belongs to one)
 
 	// Ops tallies this task's memory operations (merged at completion).
 	Ops     core.Counters
@@ -117,12 +118,7 @@ func (c *ForkCounts) add(o ForkCounts) {
 }
 
 // CurrentHeap returns the heap the task is allocating into.
-func (t *Task) CurrentHeap() *heap.Heap {
-	if t.sh != nil {
-		return t.sh.Current()
-	}
-	return t.ws.heap
-}
+func (t *Task) CurrentHeap() *heap.Heap { return t.sh.Current() }
 
 // chunkCache returns the chunk cache of the worker this task is currently
 // executing on. Allocation, collection, and release paths thread it down
@@ -133,20 +129,19 @@ func (t *Task) chunkCache() *mem.ChunkCache { return t.w.Chunks }
 
 // collectLocal collects the worker-local heap in Manticore mode, rooted by
 // every task hosted on this worker (all suspended except the caller). The
-// local lock excludes cross-worker promotions out of this heap, and makes
-// this worker the heap's only collector. Recording it as a zone makes the
-// local heaps' natural concurrency (disjoint per-worker zones under the
-// shared global heap) show up in the same counters as ParMem's.
+// heap's write lock, which the zone recorder holds for the copy, excludes
+// a thief's promotion of a stolen environment out of this heap
+// (frame.stolenEnv) and makes this worker the heap's only collector.
+// Recording it as a zone makes the local heaps' natural concurrency
+// (disjoint per-worker zones under the shared global heap) show up in the
+// same counters as ParMem's.
 func (t *Task) collectLocal() {
 	start := time.Now()
-	ws := t.ws
-	ws.localMu.Lock()
 	var roots []*mem.ObjPtr
-	for ht := range ws.tasks {
+	for ht := range t.ws.tasks {
 		roots = append(roots, ht.roots...)
 	}
-	stats := t.rt.zones.Collect(t.chunkCache(), 0, ws.heap, roots, gc.LeafZone)
-	ws.localMu.Unlock()
+	stats := t.rt.zones.Collect(t.chunkCache(), 0, t.ws.heap, roots, gc.LeafZone)
 	t.gcNanos += time.Since(start).Nanoseconds()
 	t.gcStats.Add(stats)
 }

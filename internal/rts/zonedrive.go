@@ -69,9 +69,10 @@ func (t *Task) maybeCollectJoin(extra ...*mem.ObjPtr) {
 // keeps shared counters off the allocation path, and still bounds each
 // heap of the session between collections. Pinned sessions (Runtime.Run
 // among them) merge into the super-root instead of dying, and keep the
-// configured policy throughout.
+// configured policy throughout. An escaped Seq session is not collected
+// at all: a pinned object outside the zone may point into it.
 func (t *Task) shouldCollect(h *heap.Heap) bool {
-	if !t.ses.pin && h.UsedWords() < gc.DefaultPolicy().MinWords {
+	if t.ses.escaped || !t.ses.pin && h.UsedWords() < gc.DefaultPolicy().MinWords {
 		return false
 	}
 	return t.rt.cfg.Policy.ShouldCollect(h)

@@ -27,19 +27,23 @@ func waitFor(t *testing.T, cond func() bool) {
 // the serving runtime: frames migrate between workers, each releasing
 // chunks into whatever worker it lands on.
 func TestWorkerChunkCacheBoundsUnderSteals(t *testing.T) {
-	const perClass = 2
+	const perClass = mem.DefaultCacheChunksPerClass
 	const frames = 64
 	maxHeld := perClass * mem.NumSizeClasses()
 
-	p := NewPool(4, WithChunkCaches(perClass))
+	p := NewPool(4)
 	defer p.Close()
 	var violations atomic.Int64
 	var done atomic.Int64
 
+	// Each churn releases more chunks of every size class than one cache
+	// may hold, so a cache that kept them all would pass maxHeld.
 	churn := func(w *Worker) {
 		var held []*mem.Chunk
-		for _, words := range []int{64, 64, 256, 1024, 64, 256} {
-			held = append(held, mem.AcquireChunk(w.Chunks, words))
+		for i := 0; i < perClass+2; i++ {
+			for _, words := range []int{64, 256, 1024, 4096, 8192, 16384} {
+				held = append(held, mem.AcquireChunk(w.Chunks, words))
+			}
 		}
 		for _, c := range held {
 			mem.RecycleChunk(w.Chunks, c)

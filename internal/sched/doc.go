@@ -35,8 +35,8 @@
 //
 // # Worker chunk caches
 //
-// Each Worker optionally owns a private mem.ChunkCache (WithChunkCaches),
-// the fast tier of the runtime's chunk lifecycle (alloc → cache → pool →
+// Each Worker owns a private mem.ChunkCache (NewPool builds it, bounded at
+// mem.DefaultCacheChunksPerClass chunks per size class), the fast tier of the runtime's chunk lifecycle (alloc → cache → pool →
 // OS, see package mem): heap growth on this worker acquires chunks from it
 // and completed work releases chunks into it, with no synchronization,
 // because only the worker's own goroutine ever touches its cache. The

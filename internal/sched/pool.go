@@ -42,8 +42,9 @@ type Worker struct {
 	// Local is runtime-layer per-worker state (allocation heap, etc.).
 	Local any
 
-	// Chunks is this worker's private chunk cache (nil when the pool was
-	// built without caches). Only this worker's goroutine may touch it —
+	// Chunks is this worker's private chunk cache, bounded at
+	// mem.DefaultCacheChunksPerClass chunks per size class. Only this
+	// worker's goroutine may touch it —
 	// the runtime threads it through allocation, promotion, collection,
 	// and wholesale-release paths executing ON this worker, which is what
 	// makes leaf-heap chunk acquisition free of shared-state operations.
@@ -88,34 +89,18 @@ func (p *Pool) callSafePoint(w *Worker) {
 	}
 }
 
-// PoolOption configures a Pool under construction.
-type PoolOption func(*Pool)
-
-// WithChunkCaches gives every worker a private chunk cache bounded at
-// perClass chunks per size class (≤ 0 selects the mem package default).
-// The caches are installed before the workers start, so no synchronization
-// guards the field.
-func WithChunkCaches(perClass int) PoolOption {
-	return func(p *Pool) {
-		for _, w := range p.workers {
-			w.Chunks = mem.NewChunkCache(perClass)
-			w.Chunks.SetOwner(w.ID)
-		}
-	}
-}
-
-// NewPool creates and starts p workers.
-func NewPool(p int, opts ...PoolOption) *Pool {
+// NewPool creates and starts p workers, each with its own chunk cache.
+func NewPool(p int) *Pool {
 	if p < 1 {
 		p = 1
 	}
 	pool := &Pool{inbox: make(chan *Frame, 1024)}
 	pool.workers = make([]*Worker, p)
 	for i := range pool.workers {
-		pool.workers[i] = &Worker{ID: i, pool: pool, rng: uint64(i)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D}
-	}
-	for _, opt := range opts {
-		opt(pool)
+		w := &Worker{ID: i, pool: pool, rng: uint64(i)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D}
+		w.Chunks = mem.NewChunkCache(mem.DefaultCacheChunksPerClass)
+		w.Chunks.SetOwner(i)
+		pool.workers[i] = w
 	}
 	for _, w := range pool.workers {
 		pool.wg.Add(1)
@@ -323,7 +308,7 @@ func (l *idleLadder) wait(w *Worker) {
 		time.Sleep(time.Microsecond)
 		return
 	}
-	if l.sleeps == coldTrimSleeps && w.Chunks != nil {
+	if l.sleeps == coldTrimSleeps {
 		w.Chunks.Flush() // cold: return cached chunks to the shared pool
 	}
 	time.Sleep(longSleep)
